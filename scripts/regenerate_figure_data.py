@@ -7,16 +7,14 @@ Usage: python scripts/regenerate_figure_data.py [--out-dir data]
 import argparse
 import sys
 
-from rgstates.cli import main as cli_main
-
-TARGETS = ("fig4", "fig5", "fig6", "fig7", "fig9")
+from rgstates.cli import FIG_TARGETS, main as cli_main
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="data")
     args = parser.parse_args()
-    for target in TARGETS:
+    for target in FIG_TARGETS:
         code = cli_main(["figs", "--target", target, "--out-dir", args.out_dir])
         if code != 0:
             return code

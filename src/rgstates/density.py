@@ -2,7 +2,9 @@
 
 All density matrices here are real symmetric in the computational basis
 (every spanning-subgraph projector is), so storage is real float64 and the
-single numerical kernel is the symmetric eigendecomposition.
+single numerical kernel is the symmetric eigendecomposition.  Every mixture
+of subgraph projectors has entries 2^-n * chi[u(x) XOR u(y)], built from the
+excitation patterns u(x) and a character table chi over edge masks.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SizeLimitError
-from .graph import EdgeMask, Graph, subgraph_from_mask
-from .state import empty_overlap
+from .graph import Graph
+from .state import excitation_patterns, walsh_hadamard
 
 MAX_DENSITY_QUBITS = 12
 MAX_DENSITY_EDGES = 24
@@ -60,15 +62,6 @@ class Bipartition:
         return ((1 << self.n) - 1) ^ self.side_a
 
 
-def _edge_excitations(g: Graph) -> np.ndarray:
-    """Row k = indicator over basis strings that edge k is fully excited."""
-    idx = np.arange(1 << g.n, dtype=np.uint32)
-    exc = np.empty((g.edge_count, 1 << g.n), dtype=np.uint8)
-    for k, (i, j) in enumerate(g.edges):
-        exc[k] = ((idx >> i) & (idx >> j) & 1).astype(np.uint8)
-    return exc
-
-
 def _check_density_caps(g: Graph):
     if g.n > MAX_DENSITY_QUBITS:
         raise SizeLimitError(
@@ -78,46 +71,38 @@ def _check_density_caps(g: Graph):
             f"subgraph mixtures capped at |E|={MAX_DENSITY_EDGES}, got {g.edge_count}")
 
 
+def _pattern_density(g: Graph, chi: np.ndarray) -> DensityMatrix:
+    """rho_xy = 2^-n * chi[u(x) XOR u(y)] for a character table over edge masks."""
+    u = excitation_patterns(g)
+    chi = chi / (1 << g.n)  # scaled before the gather: no third 4^n temporary
+    return DensityMatrix(g.n, chi[u[:, None] ^ u[None, :]])
+
+
 def subgraph_mixture(g: Graph, weights) -> DensityMatrix:
     """Mixture sum(w_m |F_m><F_m|) over edge-mask keys of ``weights``.
 
-    ``weights`` maps mask bits (int) to probabilities summing to 1.
+    ``weights`` maps mask bits (int) to probabilities summing to 1.  Since
+    <x|F_m><F_m|y> = 2^-n (-1)^popcount(m & (u(x) XOR u(y))), the mixture's
+    character table is the Walsh-Hadamard transform of the weight vector.
     """
     _check_density_caps(g)
-    exc = _edge_excitations(g)
-    dim = 1 << g.n
-    rho = np.zeros((dim, dim))
-    for mask in sorted(weights):
-        w = weights[mask]
-        if w == 0.0:
-            continue
-        on = [k for k in range(g.edge_count) if (mask >> k) & 1]
-        if on:
-            parity = np.bitwise_xor.reduce(exc[on], axis=0)
-            signs = 1.0 - 2.0 * parity
-        else:
-            signs = np.ones(dim)
-        rho += w * np.outer(signs, signs)
-    rho /= dim
-    return DensityMatrix(g.n, rho)
+    w = np.zeros(1 << g.edge_count)
+    for mask, weight in weights.items():
+        w[mask] = weight
+    return _pattern_density(g, walsh_hadamard(w))
 
 
 def randomize(g: Graph, p: float) -> DensityMatrix:
     """Binomial mixture of all spanning-subgraph projectors of ``g``.
 
-    Each edge of ``g`` is kept independently with probability ``p``.
+    Each edge of ``g`` is kept independently with probability ``p``, which
+    dephases it independently: the character table is (1-2p)^popcount(z).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"randomness parameter must be in [0, 1], got {p}")
     _check_density_caps(g)
-    e = g.edge_count
-    weights = {}
-    for mask in range(1 << e):
-        k = mask.bit_count()
-        w = p ** k * (1.0 - p) ** (e - k)
-        if w:
-            weights[mask] = w
-    return subgraph_mixture(g, weights)
+    masks = np.arange(1 << g.edge_count, dtype=np.int64)
+    return _pattern_density(g, (1.0 - 2.0 * p) ** np.bitwise_count(masks))
 
 
 def randomized_bell(p: float) -> DensityMatrix:
@@ -155,42 +140,33 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     return float(-evals[evals < 0.0].sum())
 
 
-def _symmetric_rank(matrix: np.ndarray, tol: float) -> int:
-    evals = np.linalg.eigvalsh(matrix)
+def numerical_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
+    """Number of eigenvalues above ``tol`` relative to the largest one."""
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    evals = np.linalg.eigvalsh(rho.entries)
     top = float(evals[-1])
     if top <= 0.0:
         return 0
     return int(np.count_nonzero(evals > tol * top))
 
 
-def numerical_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues above ``tol`` relative to the largest one."""
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return _symmetric_rank(rho.entries, tol)
-
-
 def subgraph_space_dimension(g: Graph) -> int:
     """Dimension of the span of all spanning-subgraph states of ``g``.
 
-    Computed as the numerical rank of the 2^|E| Gram matrix, whose entries
-    are exact dyadic overlaps; never materializes 2^n-dimensional vectors.
+    The subgraph states span exactly the functions of u(x): rows of the
+    2^n x 2^|E| sign matrix (-1)^popcount(m & u(x)) are equal for equal u(x)
+    and independent Hadamard rows otherwise.  So the dimension is the exact
+    number of distinct excitation patterns.
     """
     e = g.edge_count
     if e > MAX_DIMENSION_EDGES:
         raise SizeLimitError(
-            f"Gram construction capped at |E|={MAX_DIMENSION_EDGES}, got {e}")
+            f"subgraph space dimension capped at |E|={MAX_DIMENSION_EDGES}, got {e}")
     if g.n > MAX_DENSITY_QUBITS:
         raise SizeLimitError(
-            f"Gram construction capped at n={MAX_DENSITY_QUBITS}, got {g.n}")
-    # <F_i|F_j> depends only on the XOR of the two edge masks.
-    overlaps = np.array([
-        empty_overlap(subgraph_from_mask(g, EdgeMask(m, e)))
-        for m in range(1 << e)
-    ])
-    masks = np.arange(1 << e)
-    gram = overlaps[masks[:, None] ^ masks[None, :]]
-    return _symmetric_rank(gram, RANK_TOL)
+            f"subgraph space dimension capped at n={MAX_DENSITY_QUBITS}, got {g.n}")
+    return len(np.unique(excitation_patterns(g)))
 
 
 def export_density(rho: DensityMatrix, base_path, *, p: float, graph_spec: str):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .graph import Graph, serialize_graph
+from .state import walsh_hadamard
 from .witness import (DEFAULT_BRACKET, DEFAULT_THRESHOLD_TOL, WitnessEvaluation,
                       _overlap_at_level, find_threshold)
 
@@ -64,31 +65,28 @@ def stabilizer_element(g: Graph, j_mask: int) -> StabilizerElement:
     return StabilizerElement(g.n, x, z, 1 if k == 0 else -1)
 
 
-def _bit_parity(values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.uint32).copy()
-    for shift in (16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return (v & 1).astype(np.int8)
+def _pauli_action(elem: StabilizerElement) -> tuple[np.ndarray, np.ndarray]:
+    """Column x of the Pauli string holds one nonzero: ``values[x]`` at ``rows[x]``."""
+    idx = np.arange(1 << elem.n, dtype=np.int64)
+    phase = elem.sign * (1j) ** ((elem.x_bits & elem.z_bits).bit_count() % 4)
+    parity = np.bitwise_count(idx & elem.z_bits).astype(np.int8) & 1
+    return idx ^ elem.x_bits, phase * (1 - 2 * parity)
 
 
 def stabilizer_matrix(elem: StabilizerElement) -> np.ndarray:
     """Dense complex matrix of a stabilizer element."""
     dim = 1 << elem.n
-    idx = np.arange(dim, dtype=np.uint32)
-    phase = elem.sign * (1j) ** ((elem.x_bits & elem.z_bits).bit_count() % 4)
-    col_signs = 1.0 - 2.0 * _bit_parity(idx & np.uint32(elem.z_bits))
+    rows, values = _pauli_action(elem)
     m = np.zeros((dim, dim), dtype=complex)
-    m[idx ^ np.uint32(elem.x_bits), idx] = phase * col_signs
+    m[rows, np.arange(dim)] = values
     return m
 
 
 def apply_stabilizer(elem: StabilizerElement, vec: np.ndarray) -> np.ndarray:
     """Apply a stabilizer element to a state vector without building its matrix."""
-    idx = np.arange(len(vec), dtype=np.uint32)
-    phase = elem.sign * (1j) ** ((elem.x_bits & elem.z_bits).bit_count() % 4)
-    col_signs = 1.0 - 2.0 * _bit_parity(idx & np.uint32(elem.z_bits))
+    rows, values = _pauli_action(elem)
     out = np.zeros(len(vec), dtype=complex)
-    out[idx ^ np.uint32(elem.x_bits)] = phase * col_signs * vec
+    out[rows] = values * vec
     return out
 
 
@@ -97,13 +95,11 @@ def bell_operator_matrix(g: Graph) -> np.ndarray:
     if g.n > MAX_BELL_QUBITS:
         raise SizeLimitError(f"Bell operator capped at n={MAX_BELL_QUBITS}, got {g.n}")
     dim = 1 << g.n
-    idx = np.arange(dim, dtype=np.uint32)
+    cols = np.arange(dim)
     acc = np.zeros((dim, dim), dtype=complex)
     for j_mask in range(dim):
-        elem = stabilizer_element(g, j_mask)
-        phase = elem.sign * (1j) ** ((elem.x_bits & elem.z_bits).bit_count() % 4)
-        col_signs = 1.0 - 2.0 * _bit_parity(idx & np.uint32(elem.z_bits))
-        acc[idx ^ np.uint32(elem.x_bits), idx] += phase * col_signs
+        rows, values = _pauli_action(stabilizer_element(g, j_mask))
+        acc[rows, cols] += values
     acc /= dim
     assert np.abs(acc.imag).max() < 1e-12
     return np.ascontiguousarray(acc.real)
@@ -124,37 +120,19 @@ def _assignment_bit_mask(elem: StabilizerElement) -> int:
     return mask
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    size = len(a)
-    h = 1
-    while h < size:
-        a = a.reshape(size // (2 * h), 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(size)
-        h *= 2
-    return a
-
-
 def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
     """Value of the Bell operator under one noncontextual assignment."""
     if len(assignment.a_x) != g.n:
         raise ValueError(f"assignment is for {len(assignment.a_x)} qubits, graph has {g.n}")
+    # bits where the assignment is -1, laid out as in _assignment_bit_mask
+    tables = (assignment.a_x, assignment.a_y, assignment.a_z)
+    minus = sum(1 << (3 * k + axis) for axis, vals in enumerate(tables)
+                for k, v in enumerate(vals) if v == -1)
     total = 0
     for j_mask in range(1 << g.n):
         elem = stabilizer_element(g, j_mask)
-        value = elem.sign
-        for k in range(g.n):
-            x_k = (elem.x_bits >> k) & 1
-            z_k = (elem.z_bits >> k) & 1
-            if x_k and not z_k:
-                value *= assignment.a_x[k]
-            elif x_k and z_k:
-                value *= assignment.a_y[k]
-            elif z_k:
-                value *= assignment.a_z[k]
-        total += value
+        flips = (_assignment_bit_mask(elem) & minus).bit_count()
+        total += elem.sign * (1 - 2 * (flips & 1))
     return total / (1 << g.n)
 
 
@@ -171,7 +149,7 @@ def lhv_bound(g: Graph) -> float:
     for j_mask in range(1 << g.n):
         elem = stabilizer_element(g, j_mask)
         weights[_assignment_bit_mask(elem)] += elem.sign
-    transformed = _walsh_hadamard(weights)
+    transformed = walsh_hadamard(weights)
     return float(np.abs(transformed).max()) / (1 << g.n)
 
 

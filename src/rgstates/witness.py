@@ -2,8 +2,8 @@
 
 The overlap of a graph state with its randomization is a polynomial in p
 whose coefficients group subgraphs by the number of removed edges; each
-term is a squared empty-graph overlap of the removed-edge subgraph.  No
-density matrices are ever materialized here.
+term is a squared empty-graph overlap of the removed-edge subgraph, an exact
+signed sum over its vertices.  No density matrices are ever materialized here.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import comb, sqrt
 
 from .errors import SizeLimitError
 from .graph import Graph, class_counts, serialize_graph
-from .state import _gray_signed_sum
+from .state import signed_sum
 
 MAX_OVERLAP_EDGES = 24
 DEFAULT_BRACKET = (0.5, 1.0)
@@ -47,7 +47,7 @@ def _removed_overlap_sq(edges) -> float:
         a, b = index[i], index[j]
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    amp = _gray_signed_sum(adj) / (1 << len(verts))
+    amp = signed_sum(adj) / (1 << len(verts))
     return amp * amp
 
 

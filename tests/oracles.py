@@ -2,7 +2,8 @@
 
 Everything here recomputes from first principles (per-string edge counting,
 dense Kronecker products, subset enumeration) and deliberately avoids the
-package's Gray-code, symplectic, and coefficient-grouping code paths.
+package's excitation-pattern, F2-elimination, Walsh-Hadamard, symplectic,
+and coefficient-grouping code paths.
 """
 
 import itertools
@@ -73,6 +74,26 @@ def dense_graph_state(g):
         cz = np.eye(dim) - 2.0 * local_op(P1, i, g.n) @ local_op(P1, j, g.n)
         vec = cz @ vec
     return vec
+
+
+def _subgraph_states(g):
+    """Dense |F_m> for every edge mask m of g, by the CZ construction."""
+    for mask in range(1 << g.edge_count):
+        kept = tuple(e for k, e in enumerate(g.edges) if (mask >> k) & 1)
+        yield mask, dense_graph_state(Graph(g.n, kept))
+
+
+def brute_subgraph_dimension(g):
+    """Matrix rank of the stacked dense states of all 2^|E| spanning subgraphs."""
+    return int(np.linalg.matrix_rank(np.array([v for _, v in _subgraph_states(g)])))
+
+
+def brute_mixture(g, weights):
+    """sum_m weights[m] |F_m><F_m| over edge masks m, from dense states."""
+    rho = np.zeros((1 << g.n, 1 << g.n))
+    for mask, vec in _subgraph_states(g):
+        rho += weights.get(mask, 0.0) * np.outer(vec, vec)
+    return rho
 
 
 def dense_generator(g, i):

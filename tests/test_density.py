@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from rgstates import (Bipartition, DensityMatrix, Graph, SizeLimitError,
                       export_density, generate, graph_state_vector, negativity,
                       numerical_rank, partial_transpose, randomize,
-                      randomized_bell, subgraph_space_dimension)
+                      randomized_bell, subgraph_mixture,
+                      subgraph_space_dimension)
 from conftest import graphs
-from oracles import connected, random_graph
+from oracles import brute_mixture, brute_subgraph_dimension, connected, random_graph
 
 EDGE = Graph(2, ((0, 1),))
 
@@ -201,6 +202,26 @@ def test_rank_equals_dimension_on_random_graphs():
         dim = subgraph_space_dimension(g)
         for p in (0.3, 0.5, 0.7):
             assert numerical_rank(randomize(g, p)) == dim
+
+
+def test_pattern_paths_match_dense_oracles_on_random_graphs():
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        g = random_graph(rng, 5, min_n=4)
+        e = g.edge_count
+        dim = brute_subgraph_dimension(g)
+        assert subgraph_space_dimension(g) == dim
+        p = float(rng.uniform(0.05, 0.95))
+        binomial = {m: p ** m.bit_count() * (1 - p) ** (e - m.bit_count())
+                    for m in range(1 << e)}
+        rho = randomize(g, p)
+        assert np.allclose(rho.entries, brute_mixture(g, binomial), atol=1e-12, rtol=0)
+        assert numerical_rank(rho) == dim
+        kept = [m for m in range(1 << e) if rng.random() < 0.5] or [0]
+        raw = rng.random(len(kept))
+        weights = dict(zip(kept, (raw / raw.sum()).tolist()))
+        assert np.allclose(subgraph_mixture(g, weights).entries,
+                           brute_mixture(g, weights), atol=1e-12, rtol=0)
 
 
 def test_edge_deleted_complete_rank_bound():

@@ -7,7 +7,7 @@ import pytest
 from rgstates import (EdgeMask, Graph, SizeLimitError, empirical_state,
                       generate, graph_state_vector, randomize,
                       sample_preparation, sample_to_json)
-from oracles import random_graph
+from oracles import brute_mixture, random_graph
 
 PATH3 = generate("path:3")
 
@@ -84,6 +84,16 @@ def test_empirical_state_converges():
     d_small = np.linalg.norm(small.entries - exact)
     d_large = np.linalg.norm(large.entries - exact)
     assert d_large < d_small
+
+
+def test_empirical_state_matches_dense_mixture():
+    rng = np.random.default_rng(23)
+    for seed in range(4):
+        g = random_graph(rng, 5, min_n=4)
+        sample = sample_preparation(g, 0.6, 500, seed)
+        freq = {m: c / sample.shots for m, c in sample.mask_counts().items()}
+        assert np.allclose(empirical_state(sample, g).entries, brute_mixture(g, freq),
+                           atol=1e-12, rtol=0)
 
 
 def test_empirical_state_width_mismatch():

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,9 @@ def test_complete_3_signs():
     v = graph_state_vector(generate("complete:3"))
     negatives = {x for x in range(8) if v.signs[x] == -1}
     assert negatives == {0b011, 0b101, 0b110, 0b111}
+    # complete:12 has 66 edges, more than one int64 word of excitation bits
+    big = graph_state_vector(generate("complete:12"))
+    assert all(big.signs[x] == (-1) ** comb(x.bit_count(), 2) for x in range(1 << 12))
 
 
 @given(graphs(max_n=5))
@@ -54,6 +59,10 @@ def test_empty_overlap_examples():
     assert empty_overlap(generate("path:4")) ** 2 == pytest.approx(1 / 16, abs=1e-14)
     assert empty_overlap(generate("cycle:4")) ** 2 == pytest.approx(1 / 4, abs=1e-14)
     assert empty_overlap(generate("cycle:5")) == 0.0
+    # signed values of complete:n; the first negative one is at n = 4
+    for n in range(2, 17):
+        signed = sum(comb(n, w) * (-1) ** comb(w, 2) for w in range(n + 1))
+        assert empty_overlap(generate(f"complete:{n}")) == signed / (1 << n)
 
 
 def test_overlap_examples():
