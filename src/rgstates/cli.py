@@ -2,7 +2,7 @@
 
 Single values are printed as JSON, sweeps as CSV with header ``p,value``.
 Exit codes: 0 success (a missing threshold is JSON null, still 0), 2 usage
-error, 1 computation error such as an exceeded size cap.
+error, 1 computation error such as an exceeded size cap or exhausted memory.
 """
 
 from __future__ import annotations
@@ -431,8 +431,8 @@ def main(argv=None) -> int:
     except (GraphSpecError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SizeLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

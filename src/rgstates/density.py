@@ -21,7 +21,6 @@ from .state import excitation_patterns, walsh_hadamard
 
 MAX_DENSITY_QUBITS = 12
 MAX_DENSITY_EDGES = 24
-MAX_DIMENSION_EDGES = 20
 RANK_TOL = 1e-10
 
 
@@ -159,10 +158,6 @@ def subgraph_space_dimension(g: Graph) -> int:
     and independent Hadamard rows otherwise.  So the dimension is the exact
     number of distinct excitation patterns.
     """
-    e = g.edge_count
-    if e > MAX_DIMENSION_EDGES:
-        raise SizeLimitError(
-            f"subgraph space dimension capped at |E|={MAX_DIMENSION_EDGES}, got {e}")
     if g.n > MAX_DENSITY_QUBITS:
         raise SizeLimitError(
             f"subgraph space dimension capped at n={MAX_DENSITY_QUBITS}, got {g.n}")

@@ -3,9 +3,10 @@
 Pauli strings are kept in binary symplectic form (x-bits, z-bits, sign) with
 X-before-Z site ordering, so that XZ = -iY.  The classical bound maximizes
 the Bell operator over all noncontextual +-1 assignments to the local X, Y,
-Z observables; each stabilizer element's assignment value is a parity
-function of the assignment bits, so all 8^n values come out of one
-Walsh-Hadamard transform.
+Z observables.  Both the classical bound and single assignment values read
+one stabilizer table: a sign and a per-qubit Pauli code (I, X, Z, Y) for
+each of the 2^n elements.  An assignment's value is a product of per-qubit
+local values, so the sum over elements contracts one qubit at a time.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitError
-from .graph import Graph, serialize_graph
-from .state import walsh_hadamard
+from .graph import Graph
 from .witness import (DEFAULT_BRACKET, DEFAULT_THRESHOLD_TOL, WitnessEvaluation,
-                      _overlap_at_level, find_threshold)
+                      _overlap_at_level, _witness_evaluation, find_threshold)
 
 MAX_BELL_QUBITS = 10
 MAX_LHV_QUBITS = 8
+
+# row b: values of (I, X, Z, Y) under the b-th of the 8 local sign choices
+_LOCAL_VALUES = np.array([(1, a_x, a_z, a_y) for a_x in (1, -1)
+                          for a_y in (1, -1) for a_z in (1, -1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -105,52 +109,45 @@ def bell_operator_matrix(g: Graph) -> np.ndarray:
     return np.ascontiguousarray(acc.real)
 
 
-def _assignment_bit_mask(elem: StabilizerElement) -> int:
-    """Bit positions (3k, 3k+1, 3k+2) = (X, Y, Z) of qubit k in assignment space."""
-    mask = 0
-    for k in range(elem.n):
-        x_k = (elem.x_bits >> k) & 1
-        z_k = (elem.z_bits >> k) & 1
-        if x_k and not z_k:
-            mask |= 1 << (3 * k)
-        elif x_k and z_k:
-            mask |= 1 << (3 * k + 1)
-        elif z_k:
-            mask |= 1 << (3 * k + 2)
-    return mask
+def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and Pauli codes of all 2^n stabilizer elements.
+
+    ``paulis[J, k] = x_k + 2 z_k`` of element J is 0, 1, 2, 3 for I, X, Z, Y.
+    """
+    elems = [stabilizer_element(g, j_mask) for j_mask in range(1 << g.n)]
+    signs = np.array([e.sign for e in elems], dtype=np.int64)
+    bits = np.array([(e.x_bits, e.z_bits) for e in elems], dtype=np.int64)
+    sites = np.arange(g.n)
+    paulis = (bits[:, :1] >> sites & 1) + 2 * (bits[:, 1:] >> sites & 1)
+    return signs, paulis
 
 
 def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
     """Value of the Bell operator under one noncontextual assignment."""
     if len(assignment.a_x) != g.n:
         raise ValueError(f"assignment is for {len(assignment.a_x)} qubits, graph has {g.n}")
-    # bits where the assignment is -1, laid out as in _assignment_bit_mask
-    tables = (assignment.a_x, assignment.a_y, assignment.a_z)
-    minus = sum(1 << (3 * k + axis) for axis, vals in enumerate(tables)
-                for k, v in enumerate(vals) if v == -1)
-    total = 0
-    for j_mask in range(1 << g.n):
-        elem = stabilizer_element(g, j_mask)
-        flips = (_assignment_bit_mask(elem) & minus).bit_count()
-        total += elem.sign * (1 - 2 * (flips & 1))
-    return total / (1 << g.n)
+    signs, paulis = _stabilizer_table(g)
+    local = np.array([(1,) * g.n, assignment.a_x, assignment.a_z, assignment.a_y])
+    values = local[paulis, np.arange(g.n)].prod(axis=1)
+    return float(signs @ values) / (1 << g.n)
 
 
 def lhv_bound(g: Graph) -> float:
     """Classical bound D(g): max |<B>| over all 8^n noncontextual assignments.
 
-    Every assignment value is sign_J * (-1)^(mask_J . b) summed over J, so a
-    single Walsh-Hadamard transform over the 3n assignment bits evaluates
-    the whole search space exactly.
+    The element signs are summed into a (4,)*n tensor indexed by Pauli code;
+    contracting each qubit's axis with the 8x4 local-value table gives every
+    assignment value, an integer of modulus <= 2^n, exactly in float64.
     """
     if g.n > MAX_LHV_QUBITS:
         raise SizeLimitError(f"LHV search capped at n={MAX_LHV_QUBITS}, got {g.n}")
-    weights = np.zeros(1 << (3 * g.n), dtype=np.int64)
-    for j_mask in range(1 << g.n):
-        elem = stabilizer_element(g, j_mask)
-        weights[_assignment_bit_mask(elem)] += elem.sign
-    transformed = walsh_hadamard(weights)
-    return float(np.abs(transformed).max()) / (1 << g.n)
+    signs, paulis = _stabilizer_table(g)
+    values = np.zeros((4,) * g.n)
+    np.add.at(values, tuple(paulis.T), signs)
+    for _ in range(g.n):  # the leading axis is always the next qubit's
+        values = np.tensordot(values, _LOCAL_VALUES, axes=(0, 1))
+    # no np.abs: that would be another 8^n temporary
+    return float(max(values.max(), -values.min())) / (1 << g.n)
 
 
 def lhv_witness_value(g: Graph, p: float, level, d: float,
@@ -161,15 +158,7 @@ def lhv_witness_value(g: Graph, p: float, level, d: float,
     """
     if not 0.0 < d <= 1.0:
         raise ValueError(f"classical bound must be in (0, 1], got {d}")
-    ov = _overlap_at_level(g, p, level)
-    return WitnessEvaluation(
-        graph_spec=graph_spec if graph_spec is not None else serialize_graph(g),
-        p=p,
-        level=str(level),
-        overlap_value=ov,
-        witness_value=d - ov,
-        constant_term=d,
-    )
+    return _witness_evaluation(g, p, level, d, graph_spec)
 
 
 def lhv_threshold(g: Graph, level=2, d: float | None = None,

@@ -136,21 +136,27 @@ def _overlap_at_level(g: Graph, p: float, level) -> float:
     return approx_overlap(g, p, min(int(level), g.edge_count))
 
 
-def gme_witness_value(g: Graph, p: float, level="exact",
-                      graph_spec: str | None = None) -> WitnessEvaluation:
-    """Expectation of the projector witness 1/2 - |g><g| on the randomized state.
-
-    A negative value certifies genuine multipartite entanglement.
-    """
+def _witness_evaluation(g: Graph, p: float, level, constant: float,
+                        graph_spec: str | None) -> WitnessEvaluation:
+    """Evaluate the witness ``constant * 1 - |g><g|`` on the randomized state."""
     ov = _overlap_at_level(g, p, level)
     return WitnessEvaluation(
         graph_spec=graph_spec if graph_spec is not None else serialize_graph(g),
         p=p,
         level=str(level),
         overlap_value=ov,
-        witness_value=GME_CONSTANT - ov,
-        constant_term=GME_CONSTANT,
+        witness_value=constant - ov,
+        constant_term=constant,
     )
+
+
+def gme_witness_value(g: Graph, p: float, level="exact",
+                      graph_spec: str | None = None) -> WitnessEvaluation:
+    """Expectation of the projector witness 1/2 - |g><g| on the randomized state.
+
+    A negative value certifies genuine multipartite entanglement.
+    """
+    return _witness_evaluation(g, p, level, GME_CONSTANT, graph_spec)
 
 
 def find_threshold(f, bracket=DEFAULT_BRACKET, tol: float = DEFAULT_THRESHOLD_TOL):

@@ -121,12 +121,8 @@ def pauli_decompose(matrix, n):
     raise AssertionError("matrix is not a signed Pauli string")
 
 
-def brute_lhv_bound(g):
-    """Max |<B(G)>| over all 8^n deterministic local-value tables.
-
-    Each stabilizer element is rebuilt as a dense product of generator
-    matrices and decomposed into local Paulis before assigning values.
-    """
+def _decomposed_elements(g):
+    """(letters, sign) of every stabilizer element, from dense generator products."""
     elements = []
     for j_mask in range(1 << g.n):
         m = np.eye(1 << g.n, dtype=complex)
@@ -134,17 +130,38 @@ def brute_lhv_bound(g):
             if (j_mask >> i) & 1:
                 m = m @ dense_generator(g, i)
         elements.append(pauli_decompose(m, g.n))
-    axis = {"X": 0, "Y": 1, "Z": 2}
-    best = 0.0
+    return elements
+
+
+def _assignment_total(elements, values):
+    """sum_J sign_J * prod_k values[letter_k][k], with values["I"] = 1."""
+    total = 0
+    for letters, sign in elements:
+        value = sign
+        for k, ch in enumerate(letters):
+            if ch != "I":
+                value *= values[ch][k]
+        total += value
+    return total
+
+
+def brute_bell_expectation(g, assignment):
+    """<B(G)> under one local-value table, from decomposed dense elements."""
+    values = {"X": assignment.a_x, "Y": assignment.a_y, "Z": assignment.a_z}
+    return _assignment_total(_decomposed_elements(g), values) / (1 << g.n)
+
+
+def brute_lhv_bound(g):
+    """Max |<B(G)>| over all 8^n deterministic local-value tables.
+
+    Each stabilizer element is rebuilt as a dense product of generator
+    matrices and decomposed into local Paulis before assigning values.
+    """
+    elements = _decomposed_elements(g)
+    best = 0
     for table in itertools.product((1, -1), repeat=3 * g.n):
-        total = 0
-        for letters, sign in elements:
-            value = sign
-            for k, ch in enumerate(letters):
-                if ch != "I":
-                    value *= table[3 * k + axis[ch]]
-            total += value
-        best = max(best, abs(total))
+        values = {"X": table[0::3], "Y": table[1::3], "Z": table[2::3]}
+        best = max(best, abs(_assignment_total(elements, values)))
     return best / (1 << g.n)
 
 

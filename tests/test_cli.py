@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rgstates import cli
 from rgstates.cli import main
 
 
@@ -186,6 +187,18 @@ def test_size_cap_exits_1(capsys):
     code, _, err = run(capsys, "rank", "--graph", "complete:9", "--p", "0.5")
     assert code == 1
     assert "capped" in err
+
+
+@pytest.mark.parametrize("exc, text", [
+    (MemoryError("Unable to allocate 8.00 GiB"), "error: Unable to allocate 8.00 GiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_memory_error_exits_1(capsys, monkeypatch, exc, text):
+    def exhausted(g):
+        raise exc
+    monkeypatch.setattr(cli, "lhv_bound", exhausted)
+    code, out, err = run(capsys, "lhv-bound", "--graph", "cycle:4")
+    assert (code, out, err) == (1, "", text + "\n")
 
 
 def test_figs_targets(capsys, tmp_path):

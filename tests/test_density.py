@@ -191,8 +191,9 @@ def test_subgraph_space_dimension_examples():
     assert subgraph_space_dimension(Graph(3, ())) == 1
     assert subgraph_space_dimension(generate("complete:3")) == 5
     assert subgraph_space_dimension(generate("complete:4")) == 12
+    assert subgraph_space_dimension(generate("complete:7")) == 2 ** 7 - 7
     with pytest.raises(SizeLimitError):
-        subgraph_space_dimension(generate("complete:7"))  # 21 edges
+        subgraph_space_dimension(generate("complete:13"))  # n > 12
 
 
 def test_rank_equals_dimension_on_random_graphs():

@@ -11,7 +11,8 @@ from rgstates import (Graph, LhvAssignment, SizeLimitError,
                       lhv_threshold, lhv_witness_value, randomize,
                       stabilizer_element, stabilizer_matrix)
 from conftest import graphs
-from oracles import brute_lhv_bound, dense_generator, pauli_decompose
+from oracles import (brute_bell_expectation, brute_lhv_bound, dense_generator,
+                     pauli_decompose)
 
 EDGE = Graph(2, ((0, 1),))
 
@@ -116,6 +117,14 @@ def test_bell_expectation_lhv_reaches_bound():
         assign = LhvAssignment(bits[0:3], bits[3:6], bits[6:9])
         best = max(best, abs(bell_expectation_lhv(g, assign)))
     assert best == pytest.approx(lhv_bound(g), abs=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(graphs(max_n=4), st.data())
+def test_bell_expectation_lhv_matches_dense_elements(g, data):
+    pm = st.tuples(*[st.sampled_from((1, -1))] * g.n)
+    assign = LhvAssignment(data.draw(pm), data.draw(pm), data.draw(pm))
+    assert bell_expectation_lhv(g, assign) == brute_bell_expectation(g, assign)
 
 
 def test_assignment_validation():
