@@ -76,6 +76,12 @@ def _parse_p(value: float) -> float:
     return value
 
 
+def _parse_threads(value: int) -> int:
+    if value < 1:
+        raise ValueError(f"--threads must be at least 1, got {value}")
+    return value
+
+
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -217,7 +223,8 @@ def _cmd_cover(args):
 def _cmd_sample(args):
     g = _graph_of(args)
     p = _parse_p(args.p)
-    sample = sample_preparation(g, p, args.shots, args.seed, threads=args.threads)
+    sample = sample_preparation(g, p, args.shots, args.seed,
+                                threads=_parse_threads(args.threads))
     print(sample_to_json(sample, graph_spec=args.graph, p=p))
     return 0
 
@@ -267,18 +274,19 @@ def _cmd_sweep(args):
 
 # ----------------------------------------------------------- figure datasets
 
-def _threshold_cell(spec: str, level):
-    return gme_threshold(parse_graph(spec), level=level)
+def _threshold_rows(cells, spec: str, level, threads: int) -> list:
+    """Rows (*cell, GME threshold of ``spec.format(*cell)``), run on a thread pool."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        vals = pool.map(lambda cell: gme_threshold(parse_graph(spec.format(*cell)),
+                                                   level=level), cells)
+        return [(*cell, v) for cell, v in zip(cells, vals)]
 
 
 def _fig_rows(target: str, threads: int):
     if target == "fig4":
         header = "family,n,p_w"
         cells = [(fam, n) for fam in ("star", "path") for n in range(3, 11)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(
-                lambda fn: _threshold_cell(f"{fn[0]}:{fn[1]}", "exact"), cells))
-        return header, [(fam, n, v) for (fam, n), v in zip(cells, vals)]
+        return header, _threshold_rows(cells, "{}:{}", "exact", threads)
 
     if target == "fig5":
         header = "n,p_w,p_F,rel_diff"
@@ -293,18 +301,12 @@ def _fig_rows(target: str, threads: int):
     if target == "fig6":
         header = "m,n,p_F"
         cells = [(m, n) for m in range(2, 6) for n in range(2, 6)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(
-                lambda mn: _threshold_cell(f"grid:{mn[0]}x{mn[1]}", 2), cells))
-        return header, [(m, n, v) for (m, n), v in zip(cells, vals)]
+        return header, _threshold_rows(cells, "grid:{}x{}", 2, threads)
 
     if target == "fig7":
         header = "i,j,k,p_F"
         cells = [(i, j, k) for i in range(2, 4) for j in range(2, 4) for k in range(2, 4)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(
-                lambda c: _threshold_cell(f"grid3:{c[0]}x{c[1]}x{c[2]}", 2), cells))
-        return header, [(i, j, k, v) for (i, j, k), v in zip(cells, vals)]
+        return header, _threshold_rows(cells, "grid3:{}x{}x{}", 2, threads)
 
     # fig9: LHV thresholds with computed classical bounds, desk-scale sizes
     header = "family,n,D,p_lhv"
@@ -318,9 +320,10 @@ def _fig_rows(target: str, threads: int):
 
 
 def _cmd_figs(args):
+    threads = _parse_threads(args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows = _fig_rows(args.target, args.threads)
+    header, rows = _fig_rows(args.target, threads)
     path = out_dir / f"{args.target}.csv"
     lines = [header]
     for row in rows:

@@ -25,7 +25,7 @@ MAX_LHV_QUBITS = 8
 
 # row b: values of (I, X, Z, Y) under the b-th of the 8 local sign choices
 _LOCAL_VALUES = np.array([(1, a_x, a_z, a_y) for a_x in (1, -1)
-                          for a_y in (1, -1) for a_z in (1, -1)], dtype=float)
+                          for a_y in (1, -1) for a_z in (1, -1)], dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,13 @@ def lhv_bound(g: Graph) -> float:
 
     The element signs are summed into a (4,)*n tensor indexed by Pauli code;
     contracting each qubit's axis with the 8x4 local-value table gives every
-    assignment value, an integer of modulus <= 2^n, exactly in float64.
+    assignment value.  Every partial sum is an integer of modulus <= 2^n <= 256,
+    so float32 holds it exactly at half the memory of float64.
     """
     if g.n > MAX_LHV_QUBITS:
         raise SizeLimitError(f"LHV search capped at n={MAX_LHV_QUBITS}, got {g.n}")
     signs, paulis = _stabilizer_table(g)
-    values = np.zeros((4,) * g.n)
+    values = np.zeros((4,) * g.n, dtype=np.float32)
     np.add.at(values, tuple(paulis.T), signs)
     for _ in range(g.n):  # the leading axis is always the next qubit's
         values = np.tensordot(values, _LOCAL_VALUES, axes=(0, 1))

@@ -3,7 +3,8 @@
 The per-edge gates all commute, so a preparation run is sampled directly as
 an edge bitmask with independent Bernoulli(p) bits.  Shots are drawn in
 fixed-size batches whose Philox streams are keyed by (seed, batch index),
-making parallel and serial runs bitwise identical.
+making parallel and serial runs bitwise identical.  A sample is the mask
+width |E| plus one dict from mask bits to count, in ascending bit order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitError
-from .graph import EdgeMask, Graph
+from .graph import Graph
 from .density import DensityMatrix, subgraph_mixture
 
 MAX_SAMPLE_EDGES = 63
@@ -28,14 +29,11 @@ class PreparationSample:
 
     shots: int
     seed: int
-    counts: dict  # EdgeMask -> occurrence count
-
-    @property
-    def width(self) -> int:
-        return next(iter(self.counts)).width
+    width: int  # |E|, the number of bits in every mask
+    counts: dict[int, int]  # mask bits -> occurrence count, ascending bits
 
     def mask_counts(self) -> dict[int, int]:
-        return {mask.bits: c for mask, c in self.counts.items()}
+        return dict(self.counts)
 
 
 def _batch_masks(seed: int, batch: int, size: int, p: float, n_edges: int) -> np.ndarray:
@@ -63,8 +61,7 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
 
     def run(batch_and_size):
         b, size = batch_and_size
-        masks, freq = np.unique(_batch_masks(seed, b, size, p, e), return_counts=True)
-        return dict(zip(masks.tolist(), freq.tolist()))
+        return np.unique(_batch_masks(seed, b, size, p, e), return_counts=True)
 
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -72,28 +69,26 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     else:
         partials = [run(item) for item in batches]
 
-    totals: dict[int, int] = {}
-    for part in partials:
-        for bits, c in part.items():
-            totals[bits] = totals.get(bits, 0) + c
-    counts = {EdgeMask(bits, e): c for bits, c in sorted(totals.items())}
-    return PreparationSample(shots=shots, seed=seed, counts=counts)
+    batch_masks, batch_freq = zip(*partials)
+    masks, slot = np.unique(np.concatenate(batch_masks), return_inverse=True)
+    totals = np.zeros(len(masks), dtype=np.int64)
+    np.add.at(totals, slot, np.concatenate(batch_freq))
+    return PreparationSample(shots=shots, seed=seed, width=e,
+                             counts=dict(zip(masks.tolist(), totals.tolist())))
 
 
 def empirical_state(sample: PreparationSample, g: Graph) -> DensityMatrix:
     """Frequency-weighted mixture of the sampled subgraph projectors."""
-    widths = {mask.width for mask in sample.counts}
-    if widths != {g.edge_count}:
+    if sample.width != g.edge_count:
         raise ValueError(
-            f"sample mask width {widths} does not match |E|={g.edge_count}")
-    weights = {mask.bits: c / sample.shots for mask, c in sample.counts.items()}
+            f"sample mask width {sample.width} does not match |E|={g.edge_count}")
+    weights = {bits: c / sample.shots for bits, c in sample.counts.items()}
     return subgraph_mixture(g, weights)
 
 
 def sample_to_json(sample: PreparationSample, *, graph_spec: str, p: float) -> str:
     """Serialize a sample with hex-keyed mask counts."""
-    counts = {hex(mask.bits): c for mask, c in sorted(
-        sample.counts.items(), key=lambda kv: kv[0].bits)}
+    counts = {hex(bits): c for bits, c in sample.counts.items()}
     return json.dumps({
         "graph_spec": graph_spec,
         "p": p,

@@ -6,6 +6,7 @@ package's excitation-pattern, F2-elimination, Walsh-Hadamard, symplectic,
 and coefficient-grouping code paths.
 """
 
+import collections
 import itertools
 
 import numpy as np
@@ -184,3 +185,18 @@ def random_graph(rng, max_n, min_n=2):
     n = int(rng.integers(min_n, max_n + 1))
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
     return Graph(n, tuple(edges))
+
+
+def brute_sample_counts(g, p, shots, seed, batch_shots=1 << 14):
+    """Mask histogram redrawn batch by batch, each mask packed and counted in Python.
+
+    Batch b holds up to ``batch_shots`` shots drawn from the Philox stream
+    keyed by (seed, b), one uniform per edge, the edge kept when it is < p.
+    """
+    counts = collections.Counter()
+    for b, start in enumerate(range(0, shots, batch_shots)):
+        size = min(batch_shots, shots - start)
+        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        for row in (rng.random((size, g.edge_count)) < p).tolist():
+            counts[sum(1 << k for k, kept in enumerate(row) if kept)] += 1
+    return dict(counts)

@@ -149,6 +149,23 @@ def test_sample_schema_and_determinism(capsys):
     assert run(capsys, *args)[1] == out
 
 
+def test_sample_rejects_threads_below_one(capsys):
+    for bad in ("0", "-1"):
+        code, out, err = run(capsys, "sample", "--graph", "path:3", "--p", "0.5",
+                             "--shots", "100", "--threads", bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: --threads must be at least 1, got {bad}\n"
+
+
+def test_figs_rejects_threads_below_one(capsys, tmp_path):
+    out_dir = tmp_path / "figs"
+    code, out, err = run(capsys, "figs", "--target", "fig7", "--threads", "0",
+                         "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == "error: --threads must be at least 1, got 0\n"
+    assert not out_dir.exists()
+
+
 def test_json_graph_and_file_specs(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text('{"n":2,"edges":[[0,1]]}')

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from rgstates import (EdgeMask, Graph, SizeLimitError, empirical_state,
-                      generate, graph_state_vector, randomize,
-                      sample_preparation, sample_to_json)
-from oracles import brute_mixture, random_graph
+from rgstates import (Graph, SizeLimitError, empirical_state, generate,
+                      graph_state_vector, randomize, sample_preparation,
+                      sample_to_json)
+from oracles import brute_mixture, brute_sample_counts, random_graph
 
 PATH3 = generate("path:3")
 
@@ -104,8 +104,23 @@ def test_empirical_state_width_mismatch():
 
 def test_counts_are_edge_masks_summing_to_shots():
     sample = sample_preparation(PATH3, 0.4, 12_345, 5)
-    assert all(isinstance(m, EdgeMask) and m.width == 2 for m in sample.counts)
+    assert sample.width == 2
+    keys = list(sample.counts)
+    assert all(isinstance(m, int) and 0 <= m < 4 for m in keys)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     assert sum(sample.counts.values()) == 12_345
+
+
+def test_merged_counts_match_batchwise_oracle():
+    g = generate("complete:7")  # 21 edges; 50 000 shots span four batches
+    expected = brute_sample_counts(g, 0.85, 50_000, 31)
+    for threads in (1, 3):
+        sample = sample_preparation(g, 0.85, 50_000, 31, threads=threads)
+        assert sample.counts == expected
+        keys = list(sample.counts)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        doc = json.loads(sample_to_json(sample, graph_spec="complete:7", p=0.85))
+        assert list(doc["counts"]) == [hex(m) for m in keys]
 
 
 def test_sample_json_schema():
