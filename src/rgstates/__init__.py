@@ -1,7 +1,7 @@
 """Randomized graph states: construction, entanglement diagnostics, thresholds."""
 
 from .errors import GraphSpecError, SizeLimitError
-from .graph import (EdgeMask, Graph, class_counts, generate, min_vertex_cover,
+from .graph import (Graph, class_counts, generate, min_vertex_cover,
                     parse_graph, serialize_graph, subgraph_from_mask,
                     symmetric_difference)
 from .state import (GraphStateVector, closed_form_overlap_sq, empty_overlap,
@@ -22,7 +22,7 @@ from .sampler import (PreparationSample, empirical_state, sample_preparation,
                       sample_to_json)
 
 __all__ = [
-    "Bipartition", "DensityMatrix", "EdgeMask", "Graph", "GraphSpecError",
+    "Bipartition", "DensityMatrix", "Graph", "GraphSpecError",
     "GraphStateVector", "LhvAssignment", "PreparationSample",
     "SizeLimitError", "StabilizerElement", "WitnessEvaluation",
     "apply_stabilizer", "approx_overlap", "approx_overlap_2level",

@@ -402,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, p=True)
     sub.add_argument("--shots", type=int, default=10000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                     help="must be >= 1; has no effect: a sample is one stream")
     sub.set_defaults(handler=_cmd_sample)
 
     sub = commands.add_parser("sweep", help="p-grid sweep of one quantity")

@@ -70,36 +70,6 @@ class Graph:
         return tuple(a.bit_count() for a in self.adjacency)
 
 
-@dataclass(frozen=True)
-class EdgeMask:
-    """Bitmask over the canonical edge ordering of a parent graph.
-
-    Bit ``k`` set means edge ``k`` is present; ``width`` is the parent's
-    edge count.
-    """
-
-    bits: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 0:
-            raise ValueError(f"negative mask width {self.width}")
-        if not 0 <= self.bits < (1 << self.width):
-            raise ValueError(f"mask {self.bits:#x} does not fit width {self.width}")
-
-    @classmethod
-    def full(cls, width: int) -> "EdgeMask":
-        return cls((1 << width) - 1, width)
-
-    @classmethod
-    def empty(cls, width: int) -> "EdgeMask":
-        return cls(0, width)
-
-    @property
-    def edge_total(self) -> int:
-        return self.bits.bit_count()
-
-
 def _positive_sizes(parts, spec, minimum=1):
     try:
         sizes = [int(s) for s in parts]
@@ -176,11 +146,11 @@ def symmetric_difference(g: Graph, f: Graph) -> Graph:
     return Graph(g.n, tuple(set(g.edges) ^ set(f.edges)))
 
 
-def subgraph_from_mask(g: Graph, mask: EdgeMask) -> Graph:
-    """Spanning subgraph of ``g`` keeping exactly the masked edges."""
-    if mask.width != g.edge_count:
-        raise ValueError(f"mask width {mask.width} != edge count {g.edge_count}")
-    kept = tuple(e for k, e in enumerate(g.edges) if (mask.bits >> k) & 1)
+def subgraph_from_mask(g: Graph, bits: int) -> Graph:
+    """Spanning subgraph of ``g`` keeping the edges whose bits are set in ``bits``."""
+    if not 0 <= bits < (1 << g.edge_count):
+        raise ValueError(f"mask {bits:#x} does not fit {g.edge_count} edges")
+    kept = tuple(e for k, e in enumerate(g.edges) if (bits >> k) & 1)
     return Graph(g.n, kept)
 
 

@@ -1,16 +1,16 @@
 """Monte Carlo simulation of the probabilistic edge-creation channel.
 
-The per-edge gates all commute, so a preparation run is sampled directly as
-an edge bitmask with independent Bernoulli(p) bits.  Shots are drawn in
-fixed-size batches whose Philox streams are keyed by (seed, batch index),
-making parallel and serial runs bitwise identical.  A sample is the mask
-width |E| plus one dict from mask bits to count, in ascending bit order.
+The per-edge gates all commute and each keeps its edge independently with
+probability p, so the mask histogram of ``shots`` preparation runs is one
+multinomial draw over edge masks.  It is drawn by splitting the shot count
+edge by edge on one ``np.random.default_rng(seed)`` stream: each seed gives
+one fixed sample.  A sample is the mask width |E| plus one dict from mask
+bits to count, in ascending bit order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,6 @@ from .graph import Graph
 from .density import DensityMatrix, subgraph_mixture
 
 MAX_SAMPLE_EDGES = 63
-BATCH_SHOTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -36,45 +35,47 @@ class PreparationSample:
         return dict(self.counts)
 
 
-def _batch_masks(seed: int, batch: int, size: int, p: float, n_edges: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=[seed, batch]))
-    kept = rng.random((size, n_edges)) < p
-    weights = np.uint64(1) << np.arange(n_edges, dtype=np.uint64)
-    return (kept.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-
-
 def sample_preparation(g: Graph, p: float, shots: int, seed: int,
                        threads: int = 1) -> PreparationSample:
-    """Draw ``shots`` independent edge masks, each edge kept with probability ``p``."""
+    """Draw ``shots`` independent edge masks, each edge kept with probability ``p``.
+
+    ``threads`` must be at least 1 and has no effect: each seed gives one
+    fixed sample, drawn on one stream.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"randomness parameter must be in [0, 1], got {p}")
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    if not 1 <= shots < (1 << 63):
+        raise ValueError(f"shots must be in [1, 2^63), got {shots}")
     if not 0 <= seed < (1 << 64):
         raise ValueError("seed must be a 64-bit unsigned integer")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     e = g.edge_count
     if e > MAX_SAMPLE_EDGES:
         raise SizeLimitError(f"sampling capped at |E|={MAX_SAMPLE_EDGES}, got {e}")
 
-    batches = [(b, min(BATCH_SHOTS, shots - b * BATCH_SHOTS))
-               for b in range((shots + BATCH_SHOTS - 1) // BATCH_SHOTS)]
-
-    def run(batch_and_size):
-        b, size = batch_and_size
-        return np.unique(_batch_masks(seed, b, size, p, e), return_counts=True)
-
-    if threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, batches))
-    else:
-        partials = [run(item) for item in batches]
-
-    batch_masks, batch_freq = zip(*partials)
-    masks, slot = np.unique(np.concatenate(batch_masks), return_inverse=True)
-    totals = np.zeros(len(masks), dtype=np.int64)
-    np.add.at(totals, slot, np.concatenate(batch_freq))
+    # Live prefixes: masks over edges 0..k-1 and how many shots share each.
+    # A prefix whose shots all go one way is updated in place; one that
+    # splits keeps its dropped shots and appends its kept ones as a child.
+    rng = np.random.default_rng(seed)
+    masks = np.zeros(1, dtype=np.int64)
+    counts = np.array([shots], dtype=np.int64)
+    for k in range(e):
+        keep = rng.random(len(counts)) < p  # decides the single-shot prefixes
+        several = np.flatnonzero(counts > 1)
+        total = counts[several]
+        kept = rng.binomial(total, p)
+        keep[several] = kept == total
+        masks |= keep * (1 << k)
+        split = (kept > 0) & (kept < total)
+        parents = several[split]
+        counts[parents] -= kept[split]
+        masks = np.concatenate([masks, masks[parents] | (1 << k)])
+        counts = np.concatenate([counts, kept[split]])
+    order = np.argsort(masks)
     return PreparationSample(shots=shots, seed=seed, width=e,
-                             counts=dict(zip(masks.tolist(), totals.tolist())))
+                             counts=dict(zip(masks[order].tolist(),
+                                             counts[order].tolist())))
 
 
 def empirical_state(sample: PreparationSample, g: Graph) -> DensityMatrix:

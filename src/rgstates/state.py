@@ -43,10 +43,11 @@ def graph_state_vector(g: Graph) -> GraphStateVector:
     """Sign at basis string x = parity of the number of excited edges, |u(x)|."""
     if g.n > MAX_STATE_QUBITS:
         raise SizeLimitError(f"state vectors capped at n={MAX_STATE_QUBITS}, got {g.n}")
+    idx = np.arange(1 << g.n, dtype=np.int64)
+    bit = [((idx >> v) & 1).astype(np.int8) for v in range(g.n)]
     parity = np.zeros(1 << g.n, dtype=np.int8)
-    for start in range(0, g.edge_count, _WORD_EDGES):  # one int64 word of edges at a time
-        block = Graph(g.n, g.edges[start:start + _WORD_EDGES])
-        parity ^= np.bitwise_count(excitation_patterns(block)).astype(np.int8) & 1
+    for i, j in g.edges:
+        parity ^= bit[i] & bit[j]
     return GraphStateVector(g.n, 1 - 2 * parity)
 
 

@@ -6,7 +6,6 @@ package's excitation-pattern, F2-elimination, Walsh-Hadamard, symplectic,
 and coefficient-grouping code paths.
 """
 
-import collections
 import itertools
 
 import numpy as np
@@ -187,16 +186,26 @@ def random_graph(rng, max_n, min_n=2):
     return Graph(n, tuple(edges))
 
 
-def brute_sample_counts(g, p, shots, seed, batch_shots=1 << 14):
-    """Mask histogram redrawn batch by batch, each mask packed and counted in Python.
+def split_sample_counts(g, p, shots, seed):
+    """Mask histogram split edge by edge over a list of (bits, count) prefixes.
 
-    Batch b holds up to ``batch_shots`` shots drawn from the Philox stream
-    keyed by (seed, b), one uniform per edge, the edge kept when it is < p.
+    For edge k, one ``rng.random(len(level))`` uniform per prefix, then one
+    scalar ``rng.binomial(c, p)`` per prefix holding c > 1 shots, in list
+    order, all from ``np.random.default_rng(seed)``.  A single-shot prefix
+    keeps the edge when its uniform is < p.  A prefix that splits keeps its
+    dropped shots in place and appends its kept shots to the end of the list.
     """
-    counts = collections.Counter()
-    for b, start in enumerate(range(0, shots, batch_shots)):
-        size = min(batch_shots, shots - start)
-        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
-        for row in (rng.random((size, g.edge_count)) < p).tolist():
-            counts[sum(1 << k for k, kept in enumerate(row) if kept)] += 1
-    return dict(counts)
+    rng = np.random.default_rng(seed)
+    level = [(0, shots)]
+    for k in range(g.edge_count):
+        draws = rng.random(len(level)).tolist()
+        children = []
+        for i, (bits, c) in enumerate(level):
+            kept = int(rng.binomial(c, p)) if c > 1 else int(draws[i] < p)
+            if kept == c:
+                level[i] = (bits | 1 << k, c)
+            elif kept:
+                level[i] = (bits, c - kept)
+                children.append((bits | 1 << k, kept))
+        level += children
+    return dict(sorted(level))

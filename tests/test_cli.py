@@ -157,6 +157,13 @@ def test_sample_rejects_threads_below_one(capsys):
         assert err == f"error: --threads must be at least 1, got {bad}\n"
 
 
+def test_sample_rejects_shots_past_int64(capsys):
+    code, out, err = run(capsys, "sample", "--graph", "path:3", "--p", "0.5",
+                         "--shots", str(1 << 63))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_figs_rejects_threads_below_one(capsys, tmp_path):
     out_dir = tmp_path / "figs"
     code, out, err = run(capsys, "figs", "--target", "fig7", "--threads", "0",

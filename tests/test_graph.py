@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from rgstates import (EdgeMask, Graph, GraphSpecError, SizeLimitError,
+from rgstates import (Graph, GraphSpecError, SizeLimitError,
                       class_counts, generate, min_vertex_cover, parse_graph,
                       serialize_graph, subgraph_from_mask, symmetric_difference)
 from conftest import graphs
@@ -97,17 +97,12 @@ def test_symmetric_difference_associates(g, f, h):
 
 def test_subgraph_from_mask():
     s3 = generate("star:3")
-    assert subgraph_from_mask(s3, EdgeMask.full(2)) == s3
-    assert subgraph_from_mask(s3, EdgeMask.empty(2)) == Graph(3, ())
-    assert subgraph_from_mask(s3, EdgeMask(0b01, 2)).edges == ((0, 1),)
-    with pytest.raises(ValueError):
-        subgraph_from_mask(s3, EdgeMask(0b1, 1))
-
-
-def test_edge_mask_bounds():
-    with pytest.raises(ValueError):
-        EdgeMask(4, 2)
-    assert EdgeMask(0b101, 3).edge_total == 2
+    assert subgraph_from_mask(s3, 0b11) == s3
+    assert subgraph_from_mask(s3, 0b00) == Graph(3, ())
+    assert subgraph_from_mask(s3, 0b01).edges == ((0, 1),)
+    for bits in (-1, 0b100):
+        with pytest.raises(ValueError):
+            subgraph_from_mask(s3, bits)
 
 
 def test_class_counts_examples():

@@ -7,7 +7,7 @@ import pytest
 from rgstates import (Graph, SizeLimitError, empirical_state, generate,
                       graph_state_vector, randomize, sample_preparation,
                       sample_to_json)
-from oracles import brute_mixture, brute_sample_counts, random_graph
+from oracles import brute_mixture, random_graph, split_sample_counts
 
 PATH3 = generate("path:3")
 
@@ -40,6 +40,11 @@ def test_validation():
         sample_preparation(PATH3, 0.5, 0, 0)
     with pytest.raises(ValueError):
         sample_preparation(PATH3, 0.5, 10, -1)
+    with pytest.raises(ValueError):
+        sample_preparation(PATH3, 0.5, 1 << 63, 0)  # past the int64 counts
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            sample_preparation(PATH3, 0.5, 10, 0, threads=threads)
     with pytest.raises(SizeLimitError):
         sample_preparation(generate("complete:12"), 0.5, 10, 0)  # 66 edges
 
@@ -51,6 +56,21 @@ def test_mask_frequencies_within_four_sigma():
     for mask in range(4):
         freq = sample.mask_counts().get(mask, 0) / shots
         assert abs(freq - 0.25) < 4 * sigma
+
+
+def test_joint_mask_law_within_five_sigma():
+    shots, p = 200_000, 0.3
+    sample = sample_preparation(generate("star:4"), p, shots, 8)  # 3 edges
+    for mask in range(8):
+        q = p ** mask.bit_count() * (1 - p) ** (3 - mask.bit_count())
+        freq = sample.mask_counts().get(mask, 0) / shots
+        assert abs(freq - q) < 5 * math.sqrt(q * (1 - q) / shots)
+
+
+def test_huge_shot_counts_finish():
+    sample = sample_preparation(PATH3, 0.5, 10 ** 12, 1)
+    assert sorted(sample.counts) == [0, 1, 2, 3]
+    assert sum(sample.counts.values()) == 10 ** 12
 
 
 def test_per_edge_inclusion_within_five_sigma():
@@ -112,8 +132,8 @@ def test_counts_are_edge_masks_summing_to_shots():
 
 
 def test_merged_counts_match_batchwise_oracle():
-    g = generate("complete:7")  # 21 edges; 50 000 shots span four batches
-    expected = brute_sample_counts(g, 0.85, 50_000, 31)
+    g = generate("complete:7")  # 21 edges; ~15 000 distinct masks of 50 000 shots
+    expected = split_sample_counts(g, 0.85, 50_000, 31)
     for threads in (1, 3):
         sample = sample_preparation(g, 0.85, 50_000, 31, threads=threads)
         assert sample.counts == expected
