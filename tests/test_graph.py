@@ -100,9 +100,14 @@ def test_subgraph_from_mask():
     assert subgraph_from_mask(s3, 0b11) == s3
     assert subgraph_from_mask(s3, 0b00) == Graph(3, ())
     assert subgraph_from_mask(s3, 0b01).edges == ((0, 1),)
+
+
+def test_edge_mask_bounds():
+    s3 = generate("star:3")
     for bits in (-1, 0b100):
         with pytest.raises(ValueError):
             subgraph_from_mask(s3, bits)
+    assert len(subgraph_from_mask(generate("path:4"), 0b101).edges) == 2
 
 
 def test_class_counts_examples():
