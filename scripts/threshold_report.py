@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Print a quick table of GME and LHV thresholds for the standard families.
 
+The first table covers stars, paths and cycles up to ``--max-n`` vertices.
+The second gives the exact p_w of the 2D cluster states grid:2x2 to grid:6x6
+next to their level-2 p_F.
+
 Usage: python scripts/threshold_report.py [--max-n 8]
 """
 
@@ -31,6 +35,15 @@ def main():
             d_text = f"{d:.4f}" if d is not None else "  n/a"
             print(f"{family + ':' + str(n):>10}  {fmt(p_w):>8}  {fmt(p_f):>8}"
                   f"  {d_text:>6}  {fmt(p_lhv):>8}")
+
+    print()
+    print(f"{'graph':>10}  {'p_w':>8}  {'p_F':>8}")
+    for rows in range(2, 7):
+        for cols in range(rows, 7):
+            spec = f"grid:{rows}x{cols}"
+            g = generate(spec)
+            print(f"{spec:>10}  {fmt(gme_threshold(g)):>8}"
+                  f"  {fmt(gme_threshold(g, level=2)):>8}")
 
 
 if __name__ == "__main__":

@@ -1,23 +1,36 @@
 """Randomization overlaps, projector GME witnesses, and threshold solvers.
 
 The overlap of a graph state with its randomization is a polynomial in p
-whose coefficients group subgraphs by the number of removed edges; each
-term is a squared empty-graph overlap of the removed-edge subgraph, an exact
-signed sum over its vertices.  No density matrices are ever materialized here.
+whose coefficients S_r = sum over r-edge sets R of <G|G-R>^2 group subgraphs
+by the number of removed edges.  With sigma_v = (x_v, y_v) in {0..3} and
+K(sigma, tau) = (-1)^(x_sigma x_tau + y_sigma y_tau),
+
+    sum_R t^|R| <G|G-R>^2 = 4^-n sum_sigma prod_(i,j) (1 + t K(sigma_i, sigma_j)),
+
+a 4-state pairwise model on G.  ``_level_coefficients`` contracts it in one
+sweep over a greedy vertex order, carrying one float64 tensor with a size-4
+axis per frontier vertex (introduced, with an unintroduced neighbour) and
+one axis for t^1..t^level; t^0 is identically 1.  Edges fold in as in-place
+shift-adds, a vertex is summed out with a factor 1/4 after its last
+neighbour, and a vertex whose last neighbour is the one being introduced
+hands its axis over, so the tensor does not widen.  The cost follows the
+widest frontier w, not |E|; an input whose 4^w x level entries exceed
+``MAX_CONTRACTION_ENTRIES`` is refused before anything is allocated.
+No density matrices are ever materialized here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb, sqrt
+from math import comb, isfinite, prod, sqrt
+
+import numpy as np
 
 from .errors import SizeLimitError
 from .graph import Graph, class_counts, serialize_graph
-from .state import signed_sum
 
-MAX_OVERLAP_EDGES = 24
+MAX_CONTRACTION_ENTRIES = 2 ** 24  # float64 entries of the widest tensor
 DEFAULT_BRACKET = (0.5, 1.0)
 DEFAULT_THRESHOLD_TOL = 1e-9
 
@@ -36,28 +49,204 @@ class WitnessEvaluation:
     constant_term: float
 
 
-def _removed_overlap_sq(edges) -> float:
-    """Squared empty-graph overlap of a bare edge set, compacted to its support."""
-    if not edges:
-        return 1.0
-    verts = sorted({v for e in edges for v in e})
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, j in edges:
-        a, b = index[i], index[j]
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    amp = signed_sum(adj) / (1 << len(verts))
-    return amp * amp
+def _contraction_plan(g: Graph):
+    """Vertex steps of the frontier contraction and its widest frontier.
+
+    The frontier holds the introduced vertices that still have an
+    unintroduced neighbour; the contracted tensor has one axis per frontier
+    vertex.  The order is greedy: among the unintroduced neighbours of the
+    frontier (any unintroduced vertex when there are none), take the one
+    that widens the frontier least, then the one with fewest unintroduced
+    neighbours, then the lowest index.  A step ``(v, replaced, partners,
+    done)`` puts v on the axis of ``replaced`` (a frontier vertex whose last
+    neighbour is v) or, when that is None, on a new axis; folds in the edges
+    from v to ``partners``; and sums out the vertices in ``done``.  Isolated
+    vertices contribute a factor 1 and get no step.
+    """
+    adj = g.adjacency
+    rest = (1 << g.n) - 1
+    remaining = [0] * g.n  # unintroduced neighbours of each frontier vertex
+    closing = 0  # frontier vertices with one unintroduced neighbour left
+    border = 0  # unintroduced neighbours of the frontier
+    front, steps, width = [], [], 0
+    while rest:
+        best = None
+        cands = border or rest
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            later = adj[v] & rest
+            key = ((later != 0) - (adj[v] & closing).bit_count(), later.bit_count(), v)
+            if best is None or key < best:
+                best = key
+        v = best[2]
+        rest ^= 1 << v
+        border = (border | adj[v]) & rest
+        if not adj[v]:
+            continue
+        earlier = [u for u in front if adj[v] >> u & 1]
+        remaining[v] = (adj[v] & rest).bit_count()
+        for u in earlier:
+            remaining[u] -= 1
+        done = [u for u in earlier if not remaining[u]]
+        replaced = done.pop(0) if done else None
+        if replaced is not None:
+            front.remove(replaced)
+        front.append(v)
+        width = max(width, len(front))
+        if not remaining[v]:
+            done.append(v)
+        for u in earlier + [v]:
+            if remaining[u] == 1:
+                closing |= 1 << u
+            else:
+                closing &= ~(1 << u)
+        front = [u for u in front if u not in done]
+        steps.append((v, replaced, [u for u in earlier if u != replaced], done))
+    return steps, width
+
+
+def _axis_index(ndim: int, picks: dict):
+    """Index tuple of an ndim array that slices the given axes and keeps the rest."""
+    return tuple(picks.get(axis, slice(None)) for axis in range(ndim))
+
+
+_ODD, _HIGH = slice(1, None, 2), slice(2, None)  # sigma with x = 1, with y = 1
+
+
+def _widen(poly):
+    """Append a size-4 axis, constant along it, in place.
+
+    The buffer grows by ``resize``; entry i then moves to entries 4i..4i+3,
+    the highest entries first, in chunks that never overlap an entry still
+    to be read.
+    """
+    size = poly.size
+    poly.resize(poly.shape + (4,), refcheck=False)
+    spread, old = poly.reshape(size, 4), poly.reshape(4 * size)
+    hi = size
+    while hi > 1:
+        lo = (hi + 3) // 4
+        spread[lo:hi] = old[lo:hi, None]
+        hi = lo
+    spread[0, 1:] = spread[0, 0]
+
+
+def _sum_out(poly, a: int):
+    """Sum out axis a with a factor 1/4, in place.
+
+    The sum collects at index 0 of the axis; the kept entries then move to
+    the front in chunks of up to 3x the entries already in place, so that
+    no chunk overlaps its own source, and the buffer shrinks by ``resize``.
+    """
+    head = poly[_axis_index(poly.ndim, {a: 0})]
+    for sigma in range(1, 4):
+        head += poly[_axis_index(poly.ndim, {a: sigma})]
+    head *= 0.25
+    shape = poly.shape[:a] + poly.shape[a + 1:]
+    outer, inner = prod(poly.shape[:a]), prod(poly.shape[a + 1:])
+    kept = poly.reshape(outer, 4, inner)[:, 0]
+    flat = poly.reshape(-1)
+    lo = 1
+    while lo < outer:
+        hi = min(4 * lo, outer)
+        flat[lo * inner:hi * inner] = kept[lo:hi].reshape(-1)
+        lo = hi
+    del head, kept, flat  # no view may outlive the resize
+    poly.resize(shape, refcheck=False)
+
+
+def _fold_edge(poly, a: int, b: int):
+    """Multiply the polynomial tensor by 1 + t K along axes a and b, in place.
+
+    ``poly[k]`` holds the t^(k+1) coefficient; t^0 is identically 1.  K is
+    -1 where x_a x_b + y_a y_b is odd, applied by negating the x_a = x_b = 1
+    and y_a = y_b = 1 blocks.  P_1..P_(L-1) are negated once up front; then,
+    for k descending, P_k += K P_(k-1) reads the negated P_(k-1) after P_k
+    is negated back.
+    """
+    ndim = poly.ndim
+    blocks = (_axis_index(ndim, {a: _ODD, b: _ODD}), _axis_index(ndim, {a: _HIGH, b: _HIGH}))
+
+    def flip(coeffs):  # coeffs <- K coeffs
+        for block in blocks:
+            view = coeffs[block]
+            view *= -1.0  # numpy 2.4.6 np.negative(view, out=view) errs on 64-byte strides
+
+    last = poly.shape[0] - 1
+    flip(poly[:max(last, 1)])
+    for k in range(last, 0, -1):
+        if k < last:
+            flip(poly[k:k + 1])
+        poly[k] += poly[k - 1]
+    poly[0] += 1.0  # K times the t^0 coefficient 1, under the flip
+    flip(poly[:1])
+
+
+def _replace_axis(poly, a: int):
+    """Apply (J + t K) / 4 along axis a, in place.
+
+    This sums out the vertex on axis a together with its edge to the vertex
+    that takes the axis over.  A 2x2 butterfly on each bit of the axis turns
+    P_1..P_(L-1) into their K-transforms H P_k, whose sigma = 0 entry is the
+    plain sum J P_k; P_L only needs that sum.  The new t^k coefficient is
+    (J P_k + H P_(k-1)) / 4, with H P_0 = 4 at sigma = 0 and 0 elsewhere.
+    """
+    ndim, last = poly.ndim, poly.shape[0] - 1
+    for lo, hi in ((slice(0, None, 2), _ODD), (slice(0, 2), _HIGH)):
+        u, w = poly[_axis_index(ndim, {a: lo})], poly[_axis_index(ndim, {a: hi})]
+        u += w
+        w = w[:last]
+        w *= -2.0
+        w += u[:last]
+    zero = _axis_index(ndim - 1, {a - 1: slice(0, 1)})
+    rest = _axis_index(ndim - 1, {a - 1: slice(1, None)})
+    for k in range(last, 0, -1):
+        cur, prev = poly[k], poly[k - 1]
+        np.add(prev[rest], cur[zero], out=cur[rest])
+        cur[zero] += prev[zero]
+    first = poly[0]
+    first[rest] = 0.0  # then add: a broadcast assignment would copy first[zero] 3 times
+    np.add(first[rest], first[zero], out=first[rest])
+    first[zero] += 4.0
+    poly *= 0.25
 
 
 @lru_cache(maxsize=256)
 def _level_coefficients(g: Graph, level: int) -> tuple[float, ...]:
-    """S_r for r = 0..level: sums of squared overlaps over r removed edges."""
-    out = []
-    for r in range(level + 1):
-        out.append(sum(_removed_overlap_sq(sub) for sub in combinations(g.edges, r)))
-    return tuple(out)
+    """S_r for r = 0..level: sums of squared overlaps over r removed edges.
+
+    One sweep of the frontier contraction of
+    4^-n sum_sigma prod_(i,j) (1 + t K(sigma_i, sigma_j)) truncated at t^level;
+    the t^r coefficient is S_r.  One buffer holds the tensor and is resized
+    in place, so no step holds two copies of it.
+    """
+    if level == 0:
+        return (1.0,)
+    steps, width = _contraction_plan(g)
+    entries = 4 ** width * level
+    if entries > MAX_CONTRACTION_ENTRIES:
+        raise SizeLimitError(
+            f"overlap contraction needs 4^{width} x {level} = {entries} float64 entries"
+            f" ({8 * entries} bytes) at frontier width {width};"
+            f" the limit is {MAX_CONTRACTION_ENTRIES} entries")
+    poly = np.zeros(level)
+    axes = []  # vertex on each axis after the polynomial axis
+    for v, replaced, partners, done in steps:
+        if replaced is None:
+            _widen(poly)
+            axes.append(v)
+        else:
+            a = axes.index(replaced)
+            _replace_axis(poly, a + 1)
+            axes[a] = v
+        for u in partners:
+            _fold_edge(poly, axes.index(v) + 1, axes.index(u) + 1)
+        for u in done:
+            _sum_out(poly, axes.index(u) + 1)
+            axes.remove(u)
+    return (1.0, *poly.tolist())
 
 
 def _evaluate_overlap_poly(coeffs, total_edges: int, p: float) -> float:
@@ -71,11 +260,8 @@ def _check_p(p: float):
 
 
 def randomization_overlap(g: Graph, p: float) -> float:
-    """Fidelity between |g> and its randomization: full sum over removed-edge subsets."""
+    """Fidelity between |g> and its randomization: the full overlap polynomial."""
     _check_p(p)
-    if g.edge_count > MAX_OVERLAP_EDGES:
-        raise SizeLimitError(
-            f"exact overlap capped at |E|={MAX_OVERLAP_EDGES}, got {g.edge_count}")
     coeffs = _level_coefficients(g, g.edge_count)
     return _evaluate_overlap_poly(coeffs, g.edge_count, p)
 
@@ -163,8 +349,11 @@ def find_threshold(f, bracket=DEFAULT_BRACKET, tol: float = DEFAULT_THRESHOLD_TO
     """Bisection root of f(p) = 0 on ``bracket``; None without a sign change.
 
     The approximated overlap is only guaranteed monotone for p >= 1/2, hence
-    the default bracket [1/2, 1].
+    the default bracket [1/2, 1].  Bisection stops at a bracket of width
+    ``tol`` or when lo and hi are adjacent floats, whichever comes first.
     """
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
@@ -176,6 +365,8 @@ def find_threshold(f, bracket=DEFAULT_BRACKET, tol: float = DEFAULT_THRESHOLD_TO
     lo_positive = f_lo > 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid

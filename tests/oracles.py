@@ -3,7 +3,10 @@
 Everything here recomputes from first principles (per-string edge counting,
 dense Kronecker products, subset enumeration) and deliberately avoids the
 package's excitation-pattern, F2-elimination, Walsh-Hadamard, symplectic,
-and coefficient-grouping code paths.
+and contraction code paths.  The one exception is ``brute_level_coefficients``,
+whose per-subset overlaps come from ``state.signed_sum`` (checked against
+per-string counting through ``empty_overlap`` in test_state.py), because
+per-string counting over 2^|E| subsets is too slow for |E| = 17.
 """
 
 import itertools
@@ -11,6 +14,7 @@ import itertools
 import numpy as np
 
 from rgstates import Graph
+from rgstates.state import signed_sum
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -37,6 +41,27 @@ def brute_randomization_overlap(g, p):
         amp = brute_empty_overlap(Graph(g.n, tuple(removed)))
         total += weight * amp * amp
     return total
+
+
+def _removed_overlap_sq(edges):
+    """Squared empty-graph overlap of a bare edge set, compacted to its support."""
+    if not edges:
+        return 1.0
+    verts = sorted({v for e in edges for v in e})
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for i, j in edges:
+        a, b = index[i], index[j]
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    amp = signed_sum(adj) / (1 << len(verts))
+    return amp * amp
+
+
+def brute_level_coefficients(g, level):
+    """S_r for r = 0..level, summed over every removed-edge subset of size r."""
+    return tuple(sum(_removed_overlap_sq(sub) for sub in itertools.combinations(g.edges, r))
+                 for r in range(level + 1))
 
 
 def brute_class_counts(g):

@@ -213,6 +213,39 @@ def test_size_cap_exits_1(capsys):
     assert "capped" in err
 
 
+def test_contraction_estimate_refuses_wide_graph(capsys):
+    code, out, err = run(capsys, "threshold", "--graph", "complete:14", "--level", "3")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "frontier width 13" in err and "Traceback" not in err
+
+
+def test_threshold_level_10_on_grid_5x5(capsys):
+    code, out, _ = run(capsys, "threshold", "--graph", "grid:5x5", "--level", "10")
+    assert code == 0
+    p_f = json.loads(out)["p_F"]
+    # a deeper truncation lies between the exact threshold and the level-2 one
+    assert 0.9767743847 - 1e-9 <= p_f <= 0.9768954874 + 1e-9
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "-1e-9"])
+def test_threshold_rejects_bad_tol(capsys, tol):
+    for argv in (("threshold", "--graph", "cycle:6"),
+                 ("lhv-threshold", "--graph", "star:4")):
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerance must be finite and positive")
+
+
+def test_threshold_tiny_tol_finishes(capsys):
+    for spec in ("cycle:6", "grid:2x3", "star:4"):
+        _, out, _ = run(capsys, "threshold", "--graph", spec)
+        code, tiny, _ = run(capsys, "threshold", "--graph", spec, "--tol", "1e-300")
+        assert code == 0
+        assert json.loads(tiny)["p_w"] == pytest.approx(json.loads(out)["p_w"], abs=1e-9)
+
+
 @pytest.mark.parametrize("exc, text", [
     (MemoryError("Unable to allocate 8.00 GiB"), "error: Unable to allocate 8.00 GiB"),
     (MemoryError(), "error: out of memory"),

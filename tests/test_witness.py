@@ -7,8 +7,9 @@ from rgstates import (Graph, SizeLimitError, approx_overlap,
                       gme_threshold, gme_witness_value, graph_state_vector,
                       overlap_linear_closed, overlap_star_closed, randomize,
                       randomization_overlap)
+from rgstates.witness import _contraction_plan, _level_coefficients
 from conftest import graphs
-from oracles import brute_randomization_overlap, random_graph
+from oracles import brute_level_coefficients, brute_randomization_overlap, random_graph
 
 P_GRID = [k / 10 for k in range(11)]
 
@@ -53,7 +54,33 @@ def test_randomization_overlap_validation():
     with pytest.raises(ValueError):
         randomization_overlap(generate("path:3"), 1.2)
     with pytest.raises(SizeLimitError):
-        randomization_overlap(generate("complete:8"), 0.5)  # 28 edges
+        # frontier width 11: 4^11 x 66 float64 entries, over MAX_CONTRACTION_ENTRIES
+        randomization_overlap(generate("complete:12"), 0.5)
+
+
+def test_level_coefficients_match_subset_sum():
+    # both sides are exact dyadic sums on these sizes, so they agree bit for bit
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 40:
+        g = random_graph(rng, 9)
+        if g.edge_count > 16:
+            continue
+        level = int(rng.integers(0, g.edge_count + 1))
+        assert _level_coefficients(g, level) == brute_level_coefficients(g, level), (g, level)
+        checked += 1
+    g = generate("grid:3x4")
+    assert g.edge_count == 17
+    assert _level_coefficients(g, 17) == brute_level_coefficients(g, 17)
+
+
+@pytest.mark.parametrize("spec, width", [
+    ("path:12", 1), ("star:9", 2), ("cycle:15", 2), ("grid:2x6", 2),
+    ("grid:3x4", 3), ("grid:5x5", 5), ("grid:6x6", 6), ("complete:6", 5),
+    ("grid3:3x3x3", 8), ("empty:4", 0),
+])
+def test_contraction_widths(spec, width):
+    assert _contraction_plan(generate(spec))[1] == width
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -191,6 +218,19 @@ def test_find_threshold_no_crossing():
     assert find_threshold(lambda p: -1.0 - p) is None
     with pytest.raises(ValueError):
         find_threshold(lambda p: p, bracket=(0.9, 0.5))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_find_threshold_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        find_threshold(lambda p: 0.75 - p, tol=tol)
+
+
+@pytest.mark.parametrize("spec", ["cycle:6", "grid:2x3", "star:4"])
+def test_find_threshold_tiny_tol_stops_at_adjacent_floats(spec):
+    g = generate(spec)
+    tiny = gme_threshold(g, tol=1e-300)
+    assert tiny == pytest.approx(gme_threshold(g, tol=1e-9), abs=1e-9)
 
 
 def test_gme_threshold_chain():
