@@ -18,7 +18,8 @@ import numpy as np
 from .errors import SizeLimitError
 from .graph import Graph
 from .witness import (DEFAULT_BRACKET, DEFAULT_THRESHOLD_TOL, WitnessEvaluation,
-                      _overlap_at_level, _witness_evaluation, find_threshold)
+                      _check_tol, _overlap_at_level, _witness_evaluation,
+                      find_threshold)
 
 MAX_BELL_QUBITS = 10
 MAX_LHV_QUBITS = 8
@@ -169,6 +170,7 @@ def lhv_threshold(g: Graph, level=2, d: float | None = None,
     ``d`` defaults to the brute-force classical bound; None when the witness
     has no zero crossing on the bracket.
     """
+    _check_tol(tol)  # before the 8^n bound search
     bound = lhv_bound(g) if d is None else d
     if not 0.0 < bound <= 1.0:
         raise ValueError(f"classical bound must be in (0, 1], got {bound}")

@@ -14,16 +14,20 @@ one axis for t^1..t^level; t^0 is identically 1.  Edges fold in as in-place
 shift-adds, a vertex is summed out with a factor 1/4 after its last
 neighbour, and a vertex whose last neighbour is the one being introduced
 hands its axis over, so the tensor does not widen.  The cost follows the
-widest frontier w, not |E|; an input whose 4^w x level entries exceed
-``MAX_CONTRACTION_ENTRIES`` is refused before anything is allocated.
+widest frontier w, not 2^|E|.  Before the sweep, an input is refused when
+its 4^w x level entries exceed ``MAX_CONTRACTION_ENTRIES`` (memory), its
+|E| x level x (4^w + ``PASS_ENTRIES``) entry updates exceed
+``MAX_CONTRACTION_WORK`` (time), or its coefficients, up to C(|E|, r),
+could leave the float64 range.
 No density matrices are ever materialized here.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isfinite, prod, sqrt
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
@@ -31,6 +35,8 @@ from .errors import SizeLimitError
 from .graph import Graph, class_counts, serialize_graph
 
 MAX_CONTRACTION_ENTRIES = 2 ** 24  # float64 entries of the widest tensor
+MAX_CONTRACTION_WORK = 2 ** 30  # entry updates of one sweep
+PASS_ENTRIES = 1024  # fixed cost of one numpy pass, in entry updates
 DEFAULT_BRACKET = (0.5, 1.0)
 DEFAULT_THRESHOLD_TOL = 1e-9
 
@@ -115,48 +121,6 @@ def _axis_index(ndim: int, picks: dict):
 _ODD, _HIGH = slice(1, None, 2), slice(2, None)  # sigma with x = 1, with y = 1
 
 
-def _widen(poly):
-    """Append a size-4 axis, constant along it, in place.
-
-    The buffer grows by ``resize``; entry i then moves to entries 4i..4i+3,
-    the highest entries first, in chunks that never overlap an entry still
-    to be read.
-    """
-    size = poly.size
-    poly.resize(poly.shape + (4,), refcheck=False)
-    spread, old = poly.reshape(size, 4), poly.reshape(4 * size)
-    hi = size
-    while hi > 1:
-        lo = (hi + 3) // 4
-        spread[lo:hi] = old[lo:hi, None]
-        hi = lo
-    spread[0, 1:] = spread[0, 0]
-
-
-def _sum_out(poly, a: int):
-    """Sum out axis a with a factor 1/4, in place.
-
-    The sum collects at index 0 of the axis; the kept entries then move to
-    the front in chunks of up to 3x the entries already in place, so that
-    no chunk overlaps its own source, and the buffer shrinks by ``resize``.
-    """
-    head = poly[_axis_index(poly.ndim, {a: 0})]
-    for sigma in range(1, 4):
-        head += poly[_axis_index(poly.ndim, {a: sigma})]
-    head *= 0.25
-    shape = poly.shape[:a] + poly.shape[a + 1:]
-    outer, inner = prod(poly.shape[:a]), prod(poly.shape[a + 1:])
-    kept = poly.reshape(outer, 4, inner)[:, 0]
-    flat = poly.reshape(-1)
-    lo = 1
-    while lo < outer:
-        hi = min(4 * lo, outer)
-        flat[lo * inner:hi * inner] = kept[lo:hi].reshape(-1)
-        lo = hi
-    del head, kept, flat  # no view may outlive the resize
-    poly.resize(shape, refcheck=False)
-
-
 def _fold_edge(poly, a: int, b: int):
     """Multiply the polynomial tensor by 1 + t K along axes a and b, in place.
 
@@ -213,17 +177,22 @@ def _replace_axis(poly, a: int):
     poly *= 0.25
 
 
-@lru_cache(maxsize=256)
-def _level_coefficients(g: Graph, level: int) -> tuple[float, ...]:
-    """S_r for r = 0..level: sums of squared overlaps over r removed edges.
+def _admitted_plan(g: Graph, level: int):
+    """Steps of the sweep to t^level, refused if out of range, memory or time.
 
-    One sweep of the frontier contraction of
-    4^-n sum_sigma prod_(i,j) (1 + t K(sigma_i, sigma_j)) truncated at t^level;
-    the t^r coefficient is S_r.  One buffer holds the tensor and is resized
-    in place, so no step holds two copies of it.
+    Every tensor entry at t^r stays within 4 C(|E|, r), and S_r within
+    C(|E|, r); a level at which that bound leaves the float64 range is
+    refused before the order is planned.  The widest tensor holds 4^w x
+    level float64 entries.  Every edge is folded in by about ``level``
+    passes over at most 4^w entries each, and a pass has a fixed cost of
+    about ``PASS_ENTRIES`` entry updates, so a sweep makes about
+    |E| x level x (4^w + PASS_ENTRIES) of them.
     """
-    if level == 0:
-        return (1.0,)
+    top = min(level, g.edge_count // 2)
+    if 4 * comb(g.edge_count, top) > sys.float_info.max:
+        raise SizeLimitError(
+            f"overlap coefficients up to C({g.edge_count}, {top}) overflow float64"
+            f" at level {level}")
     steps, width = _contraction_plan(g)
     entries = 4 ** width * level
     if entries > MAX_CONTRACTION_ENTRIES:
@@ -231,11 +200,31 @@ def _level_coefficients(g: Graph, level: int) -> tuple[float, ...]:
             f"overlap contraction needs 4^{width} x {level} = {entries} float64 entries"
             f" ({8 * entries} bytes) at frontier width {width};"
             f" the limit is {MAX_CONTRACTION_ENTRIES} entries")
+    work = g.edge_count * level * (4 ** width + PASS_ENTRIES)
+    if work > MAX_CONTRACTION_WORK:
+        raise SizeLimitError(
+            f"overlap contraction needs {g.edge_count} edges x {level} x"
+            f" (4^{width} + {PASS_ENTRIES}) = {work} entry updates at frontier width"
+            f" {width}; the limit is {MAX_CONTRACTION_WORK}")
+    return steps
+
+
+@lru_cache(maxsize=256)
+def _level_coefficients(g: Graph, level: int) -> tuple[float, ...]:
+    """S_r for r = 0..level: sums of squared overlaps over r removed edges.
+
+    One sweep of the frontier contraction of
+    4^-n sum_sigma prod_(i,j) (1 + t K(sigma_i, sigma_j)) truncated at t^level;
+    the t^r coefficient is S_r.
+    """
+    if level == 0:
+        return (1.0,)
+    steps = _admitted_plan(g, level)
     poly = np.zeros(level)
     axes = []  # vertex on each axis after the polynomial axis
     for v, replaced, partners, done in steps:
         if replaced is None:
-            _widen(poly)
+            poly = np.repeat(poly[..., None], 4, axis=-1)
             axes.append(v)
         else:
             a = axes.index(replaced)
@@ -244,7 +233,8 @@ def _level_coefficients(g: Graph, level: int) -> tuple[float, ...]:
         for u in partners:
             _fold_edge(poly, axes.index(v) + 1, axes.index(u) + 1)
         for u in done:
-            _sum_out(poly, axes.index(u) + 1)
+            poly = np.add.reduce(poly, axis=axes.index(u) + 1)
+            poly *= 0.25
             axes.remove(u)
     return (1.0, *poly.tolist())
 
@@ -345,6 +335,11 @@ def gme_witness_value(g: Graph, p: float, level="exact",
     return _witness_evaluation(g, p, level, GME_CONSTANT, graph_spec)
 
 
+def _check_tol(tol: float):
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 def find_threshold(f, bracket=DEFAULT_BRACKET, tol: float = DEFAULT_THRESHOLD_TOL):
     """Bisection root of f(p) = 0 on ``bracket``; None without a sign change.
 
@@ -352,8 +347,7 @@ def find_threshold(f, bracket=DEFAULT_BRACKET, tol: float = DEFAULT_THRESHOLD_TO
     the default bracket [1/2, 1].  Bisection stops at a bracket of width
     ``tol`` or when lo and hi are adjacent floats, whichever comes first.
     """
-    if not (isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _check_tol(tol)
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")

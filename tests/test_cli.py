@@ -221,6 +221,24 @@ def test_contraction_estimate_refuses_wide_graph(capsys):
     assert "frontier width 13" in err and "Traceback" not in err
 
 
+def test_overlap_refuses_coefficients_past_float64(capsys):
+    # exact S_r on path:4000 reach C(3999, 1999) and would print NaN
+    code, out, err = run(capsys, "overlap", "--graph", "path:4000", "--p", "0.9")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "overflow float64" in err
+
+
+def test_contraction_estimate_refuses_long_sweep(capsys):
+    # width 8 fits in memory; 142 edges x 142 coefficients x 4^8 entries do not fit in time
+    code, out, err = run(capsys, "threshold", "--graph", "grid:8x10")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "entry updates at frontier width 8" in err
+
+
 def test_threshold_level_10_on_grid_5x5(capsys):
     code, out, _ = run(capsys, "threshold", "--graph", "grid:5x5", "--level", "10")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgstates import lhv
 from rgstates import (Graph, LhvAssignment, SizeLimitError,
                       bell_expectation_lhv, bell_operator_matrix, generate,
                       apply_stabilizer, graph_state_vector, lhv_bound,
@@ -159,6 +160,15 @@ def test_lhv_threshold_star3():
 
 def test_lhv_threshold_without_violation():
     assert lhv_threshold(EDGE, d=1.0) is None
+
+
+def test_lhv_threshold_checks_tol_before_the_bound(monkeypatch):
+    def search(g):
+        raise AssertionError("the classical bound was searched")
+    monkeypatch.setattr(lhv, "lhv_bound", search)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance"):
+            lhv_threshold(generate("cycle:8"), tol=tol)
 
 
 def test_lhv_bounds_equal_across_small_families():

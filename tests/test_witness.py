@@ -58,6 +58,17 @@ def test_randomization_overlap_validation():
         randomization_overlap(generate("complete:12"), 0.5)
 
 
+def test_contraction_admission_bounds_range_and_work():
+    g = generate("path:4000")
+    with pytest.raises(SizeLimitError, match="overflow float64"):
+        randomization_overlap(g, 0.9)
+    # a shallow truncation of the same graph stays in range and is cheap
+    assert approx_overlap(g, 0.999, 2) == pytest.approx(
+        approx_overlap_2level(g, 0.999), rel=1e-12)
+    with pytest.raises(SizeLimitError, match="entry updates"):
+        randomization_overlap(generate("grid:8x10"), 0.9)
+
+
 def test_level_coefficients_match_subset_sum():
     # both sides are exact dyadic sums on these sizes, so they agree bit for bit
     rng = np.random.default_rng(41)
