@@ -11,14 +11,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 from .errors import GraphSpecError, SizeLimitError
 from .graph import Graph, min_vertex_cover, parse_graph
-from .density import (Bipartition, export_density, negativity, numerical_rank,
-                      randomize, subgraph_space_dimension, RANK_TOL)
+from .density import Bipartition, export_density, negativity, randomize, subgraph_space_dimension
 from .witness import (DEFAULT_THRESHOLD_TOL, gme_threshold, gme_witness_value,
                       _overlap_at_level)
 from .lhv import lhv_bound, lhv_threshold, lhv_witness_value
@@ -26,6 +25,7 @@ from .sampler import sample_preparation, sample_to_json
 
 QUANTITIES = ("overlap", "gme_witness", "lhv_witness", "negativity", "rank")
 FIG_TARGETS = ("fig4", "fig5", "fig6", "fig7", "fig9")
+MAX_SWEEP_POINTS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,13 @@ def _parse_grid(text: str):
         raise ValueError(f"non-numeric p-grid {text!r}") from None
     if not 0.0 <= start <= stop <= 1.0:
         raise ValueError("p-grid bounds must satisfy 0 <= START <= STOP <= 1")
-    if step <= 0.0:
-        raise ValueError("p-grid step must be positive")
-    count = int((stop - start) / step + 1e-9)
+    if not (isfinite(step) and step > 0.0):
+        raise ValueError(f"p-grid step must be finite and positive, got {parts[2]!r}")
+    steps = (stop - start) / step + 1e-9
+    if steps + 1 > MAX_SWEEP_POINTS:
+        raise SizeLimitError(f"p-grid {text!r} has {steps + 1:.4g} points;"
+                             f" the limit is {MAX_SWEEP_POINTS}")
+    count = int(steps)
     values = []
     for i in range(count + 1):
         v = start + i * step
@@ -200,13 +204,21 @@ def _cmd_negativity(args):
     return 0
 
 
+def _rank(g: Graph, p: float) -> int:
+    """Exact rank of the randomized state: 1 at p in {0, 1}, else its pattern count.
+
+    rho = 2^-n P^T K_U P, with P sending x to its pattern u(x) and K_U the block of
+    K = (x)_e [[1, q], [q, 1]], q = 1 - 2p, on the distinct patterns; K > 0 for 0 < p < 1.
+    """
+    return subgraph_space_dimension(g) if 0.0 < p < 1.0 else 1
+
+
 def _cmd_rank(args):
     g = _graph_of(args)
     p = _parse_p(args.p)
-    rho = randomize(g, p)
     if args.dump_matrix:
-        export_density(rho, args.dump_matrix, p=p, graph_spec=args.graph)
-    _emit_json({"rank": numerical_rank(rho, tol=args.tol)})
+        export_density(randomize(g, p), args.dump_matrix, p=p, graph_spec=args.graph)
+    _emit_json({"rank": _rank(g, p)})
     return 0
 
 
@@ -229,7 +241,7 @@ def _cmd_sample(args):
     return 0
 
 
-def _sweep_value(quantity, g, p, level, cut, d, tol):
+def _sweep_value(quantity, g, p, level, cut, d):
     if quantity == "overlap":
         return _overlap_at_level(g, p, level)
     if quantity == "gme_witness":
@@ -238,7 +250,7 @@ def _sweep_value(quantity, g, p, level, cut, d, tol):
         return lhv_witness_value(g, p, level, d).witness_value
     if quantity == "negativity":
         return negativity(randomize(g, p), cut)
-    return numerical_rank(randomize(g, p), tol=tol)
+    return _rank(g, p)
 
 
 def _cmd_sweep(args):
@@ -253,7 +265,7 @@ def _cmd_sweep(args):
     d = _lhv_bound_for(g, args.lhv_bound) if args.quantity == "lhv_witness" else None
     records = [
         SweepRecord(p=p,
-                    value=_sweep_value(args.quantity, g, p, level, cut, d, args.tol),
+                    value=_sweep_value(args.quantity, g, p, level, cut, d),
                     quantity=args.quantity, graph_spec=args.graph, level=str(level))
         for p in grid
     ]
@@ -274,19 +286,11 @@ def _cmd_sweep(args):
 
 # ----------------------------------------------------------- figure datasets
 
-def _threshold_rows(cells, spec: str, level, threads: int) -> list:
-    """Rows (*cell, GME threshold of ``spec.format(*cell)``), run on a thread pool."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        vals = pool.map(lambda cell: gme_threshold(parse_graph(spec.format(*cell)),
-                                                   level=level), cells)
-        return [(*cell, v) for cell, v in zip(cells, vals)]
-
-
-def _fig_rows(target: str, threads: int):
+def _fig_rows(target: str):
     if target == "fig4":
         header = "family,n,p_w"
-        cells = [(fam, n) for fam in ("star", "path") for n in range(3, 11)]
-        return header, _threshold_rows(cells, "{}:{}", "exact", threads)
+        return header, [(fam, n, gme_threshold(parse_graph(f"{fam}:{n}"), level="exact"))
+                        for fam in ("star", "path") for n in range(3, 11)]
 
     if target == "fig5":
         header = "n,p_w,p_F,rel_diff"
@@ -300,13 +304,13 @@ def _fig_rows(target: str, threads: int):
 
     if target == "fig6":
         header = "m,n,p_F"
-        cells = [(m, n) for m in range(2, 6) for n in range(2, 6)]
-        return header, _threshold_rows(cells, "grid:{}x{}", 2, threads)
+        return header, [(m, n, gme_threshold(parse_graph(f"grid:{m}x{n}"), level=2))
+                        for m in range(2, 6) for n in range(2, 6)]
 
     if target == "fig7":
         header = "i,j,k,p_F"
-        cells = [(i, j, k) for i in range(2, 4) for j in range(2, 4) for k in range(2, 4)]
-        return header, _threshold_rows(cells, "grid3:{}x{}x{}", 2, threads)
+        return header, [(i, j, k, gme_threshold(parse_graph(f"grid3:{i}x{j}x{k}"), level=2))
+                        for i in range(2, 4) for j in range(2, 4) for k in range(2, 4)]
 
     # fig9: LHV thresholds with computed classical bounds, desk-scale sizes
     header = "family,n,D,p_lhv"
@@ -320,10 +324,10 @@ def _fig_rows(target: str, threads: int):
 
 
 def _cmd_figs(args):
-    threads = _parse_threads(args.threads)
+    _parse_threads(args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows = _fig_rows(args.target, threads)
+    header, rows = _fig_rows(args.target)
     path = out_dir / f"{args.target}.csv"
     lines = [header]
     for row in rows:
@@ -384,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the density matrix to BASE.csv/BASE.json")
     sub.set_defaults(handler=_cmd_negativity)
 
-    sub = commands.add_parser("rank", help="numerical rank of the randomized state")
-    _add_common(sub, p=True, tol=RANK_TOL)
+    sub = commands.add_parser("rank", help="exact rank of the randomized state")
+    _add_common(sub, p=True)
     sub.add_argument("--dump-matrix", default=None,
                      help="write the density matrix to BASE.csv/BASE.json")
     sub.set_defaults(handler=_cmd_rank)
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_sample)
 
     sub = commands.add_parser("sweep", help="p-grid sweep of one quantity")
-    _add_common(sub, level="exact", tol=RANK_TOL)
+    _add_common(sub, level="exact")
     sub.add_argument("--quantity", required=True, choices=QUANTITIES)
     sub.add_argument("--p-grid", required=True, help="START:STOP:STEP, inclusive")
     sub.add_argument("--bipartition", default=None)
@@ -418,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("figs", help="regenerate figure datasets")
     sub.add_argument("--target", required=True, choices=FIG_TARGETS)
     sub.add_argument("--out-dir", default=".")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                     help="must be >= 1; has no effect: figure cells run serially")
     sub.set_defaults(handler=_cmd_figs)
 
     return parser

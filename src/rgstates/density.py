@@ -5,12 +5,19 @@ All density matrices here are real symmetric in the computational basis
 single numerical kernel is the symmetric eigendecomposition.  Every mixture
 of subgraph projectors has entries 2^-n * chi[u(x) XOR u(y)], built from the
 excitation patterns u(x) and a character table chi over edge masks.
+
+``numerical_rank`` counts eigenvalues above a relative cutoff, so it can
+miss eigenvalues that are tiny but nonzero, as near p = 0 or 1.  The exact
+rank of ``randomize(g, p)`` for 0 < p < 1 is ``subgraph_space_dimension(g)``,
+a count of distinct patterns that builds no matrix; the ``rank`` command
+prints it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +148,8 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
 
 def numerical_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     """Number of eigenvalues above ``tol`` relative to the largest one."""
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     evals = np.linalg.eigvalsh(rho.entries)
     top = float(evals[-1])
     if top <= 0.0:

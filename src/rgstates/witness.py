@@ -55,7 +55,7 @@ class WitnessEvaluation:
     constant_term: float
 
 
-def _contraction_plan(g: Graph):
+def _contraction_plan(g: Graph, max_width: float = float("inf")):
     """Vertex steps of the frontier contraction and its widest frontier.
 
     The frontier holds the introduced vertices that still have an
@@ -67,7 +67,8 @@ def _contraction_plan(g: Graph):
     done)`` puts v on the axis of ``replaced`` (a frontier vertex whose last
     neighbour is v) or, when that is None, on a new axis; folds in the edges
     from v to ``partners``; and sums out the vertices in ``done``.  Isolated
-    vertices contribute a factor 1 and get no step.
+    vertices contribute a factor 1 and get no step.  Planning stops, with the
+    steps so far, as soon as the frontier grows past ``max_width``.
     """
     adj = g.adjacency
     rest = (1 << g.n) - 1
@@ -101,6 +102,8 @@ def _contraction_plan(g: Graph):
             front.remove(replaced)
         front.append(v)
         width = max(width, len(front))
+        if width > max_width:
+            break
         if not remaining[v]:
             done.append(v)
         for u in earlier + [v]:
@@ -186,27 +189,39 @@ def _admitted_plan(g: Graph, level: int):
     level float64 entries.  Every edge is folded in by about ``level``
     passes over at most 4^w entries each, and a pass has a fixed cost of
     about ``PASS_ENTRIES`` entry updates, so a sweep makes about
-    |E| x level x (4^w + PASS_ENTRIES) of them.
+    |E| x level x (4^w + PASS_ENTRIES) of them.  Both limits give a widest
+    admitted w, and planning stops as soon as the frontier grows past it,
+    so a refusal reports the first width that failed, not the order's full
+    width.
     """
     top = min(level, g.edge_count // 2)
     if 4 * comb(g.edge_count, top) > sys.float_info.max:
         raise SizeLimitError(
             f"overlap coefficients up to C({g.edge_count}, {top}) overflow float64"
             f" at level {level}")
-    steps, width = _contraction_plan(g)
-    entries = 4 ** width * level
-    if entries > MAX_CONTRACTION_ENTRIES:
+
+    def entries(w):
+        return 4 ** w * level
+
+    def work(w):
+        return g.edge_count * level * (4 ** w + PASS_ENTRIES)
+
+    admitted = -1
+    while (entries(admitted + 1) <= MAX_CONTRACTION_ENTRIES
+           and work(admitted + 1) <= MAX_CONTRACTION_WORK):
+        admitted += 1
+    steps, width = _contraction_plan(g, admitted)
+    if width <= admitted:
+        return steps
+    if entries(width) > MAX_CONTRACTION_ENTRIES:
         raise SizeLimitError(
-            f"overlap contraction needs 4^{width} x {level} = {entries} float64 entries"
-            f" ({8 * entries} bytes) at frontier width {width};"
+            f"overlap contraction needs at least 4^{width} x {level} = {entries(width)}"
+            f" float64 entries ({8 * entries(width)} bytes) at frontier width {width};"
             f" the limit is {MAX_CONTRACTION_ENTRIES} entries")
-    work = g.edge_count * level * (4 ** width + PASS_ENTRIES)
-    if work > MAX_CONTRACTION_WORK:
-        raise SizeLimitError(
-            f"overlap contraction needs {g.edge_count} edges x {level} x"
-            f" (4^{width} + {PASS_ENTRIES}) = {work} entry updates at frontier width"
-            f" {width}; the limit is {MAX_CONTRACTION_WORK}")
-    return steps
+    raise SizeLimitError(
+        f"overlap contraction needs at least {g.edge_count} edges x {level} x"
+        f" (4^{width} + {PASS_ENTRIES}) = {work(width)} entry updates at frontier"
+        f" width {width}; the limit is {MAX_CONTRACTION_WORK}")
 
 
 @lru_cache(maxsize=256)

@@ -1,9 +1,11 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from rgstates import cli
+from oracles import brute_subgraph_dimension, random_graph
+from rgstates import cli, serialize_graph
 from rgstates.cli import main
 
 
@@ -34,6 +36,53 @@ def test_rank_complete3(capsys):
     code, out, _ = run(capsys, "rank", "--graph", "complete:3", "--p", "0.5")
     assert code == 0
     assert json.loads(out) == {"rank": 5}
+
+
+def test_rank_is_the_exact_pattern_count(capsys):
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        g = random_graph(rng, 5)
+        spec = serialize_graph(g)
+        dim = brute_subgraph_dimension(g)
+        for p, expected in (("0", 1), ("0.01", dim), ("0.3", dim), ("0.99", dim), ("1", 1)):
+            code, out, _ = run(capsys, "rank", "--graph", spec, "--p", p)
+            assert (code, json.loads(out)) == (0, {"rank": expected}), (spec, p)
+            code, out, _ = run(capsys, "sweep", "--graph", spec, "--quantity", "rank",
+                               "--p-grid", f"{p}:{p}:0.1")
+            assert (code, out) == (0, f"p,value\n{float(p):.12g},{expected}\n"), (spec, p)
+
+
+def test_rank_counts_tiny_eigenvalues(capsys):
+    # an eigenvalue cutoff at 1e-10 of the largest gave 245 on grid:3x3, and the
+    # 4^9 matrix of complete:9 (|E| = 36) was over the dense caps
+    assert json.loads(run(capsys, "rank", "--graph", "grid:3x3", "--p", "0.01")[1]) == {
+        "rank": 250}
+    assert json.loads(run(capsys, "rank", "--graph", "complete:9", "--p", "0.5")[1]) == {
+        "rank": 2 ** 9 - 9}
+
+
+def test_rank_builds_no_density_matrix(capsys, monkeypatch, tmp_path):
+    def unavailable(g, p):
+        raise AssertionError("randomize called")
+    monkeypatch.setattr(cli, "randomize", unavailable)
+    assert run(capsys, "rank", "--graph", "grid:3x3", "--p", "0.5")[:2] == (
+        0, '{"rank": 250}\n')
+    code, out, _ = run(capsys, "sweep", "--graph", "cycle:5", "--quantity", "rank",
+                       "--p-grid", "0:1:0.5")
+    assert (code, out) == (0, "p,value\n0,1\n0.5,17\n1,1\n")
+    with pytest.raises(AssertionError, match="randomize called"):
+        main(["rank", "--graph", "path:2", "--p", "0.5",
+              "--dump-matrix", str(tmp_path / "rho")])
+
+
+@pytest.mark.parametrize("argv", [
+    ("rank", "--graph", "path:3", "--p", "0.5"),
+    ("sweep", "--graph", "path:3", "--quantity", "rank", "--p-grid", "0.5:0.5:0.1"),
+])
+def test_rank_takes_no_tol(capsys, argv):
+    code, out, err = run(capsys, *argv, "--tol", "1e-3")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol" in err
 
 
 def test_overlap_and_witness_agree(capsys):
@@ -208,7 +257,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_size_cap_exits_1(capsys):
-    code, _, err = run(capsys, "rank", "--graph", "complete:9", "--p", "0.5")
+    code, _, err = run(capsys, "rank", "--graph", "complete:13", "--p", "0.5")
     assert code == 1
     assert "capped" in err
 
@@ -218,7 +267,20 @@ def test_contraction_estimate_refuses_wide_graph(capsys):
     assert (code, out) == (1, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "frontier width 13" in err and "Traceback" not in err
+    # planning stops at width 11, the first width over the work limit at level 3
+    assert "frontier width 11" in err and "Traceback" not in err
+
+
+def test_contraction_plan_refuses_before_it_completes(capsys):
+    # the full greedy plan of grid:100x100 reaches width 100 and took seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "threshold", "--graph", "grid:100x100", "--level", "3")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "entry updates at frontier width 8" in err
+    assert elapsed < 0.5
 
 
 def test_overlap_refuses_coefficients_past_float64(capsys):
@@ -294,6 +356,27 @@ def test_figs_targets(capsys, tmp_path):
 def test_figs_rejects_fig3(capsys):
     # the PPT-mixer figure needs an SDP solver and is out of scope
     assert run(capsys, "figs", "--target", "fig3")[0] == 2
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-inf"])
+def test_sweep_rejects_non_finite_step(capsys, step):
+    code, out, err = run(capsys, "sweep", "--graph", "star:3", "--quantity", "overlap",
+                         "--p-grid", f"0:1:{step}")
+    assert (code, out) == (2, "")
+    assert err == f"error: p-grid step must be finite and positive, got {step!r}\n"
+
+
+def test_sweep_refuses_too_many_points(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a value was computed")
+    monkeypatch.setattr(cli, "_sweep_value", unreachable)
+    code, out, err = run(capsys, "sweep", "--graph", "star:3", "--quantity", "overlap",
+                         "--p-grid", "0:1:1e-300")
+    assert (code, out) == (1, "")
+    assert err == "error: p-grid '0:1:1e-300' has 1e+300 points; the limit is 1000000\n"
+    # a step of 1e-6 gives 10^6 + 1 points, one over the limit
+    assert run(capsys, "sweep", "--graph", "star:3", "--quantity", "overlap",
+               "--p-grid", "0:1:1e-6")[0] == 1
 
 
 def test_grid_includes_endpoints(capsys):

@@ -183,8 +183,11 @@ def test_numerical_rank_examples():
     assert numerical_rank(randomize(generate("cycle:4"), 1.0)) == 1
     assert numerical_rank(randomize(generate("path:3"), 0.5)) == 4
     assert numerical_rank(randomize(generate("complete:3"), 0.5)) == 5
-    with pytest.raises(ValueError):
-        numerical_rank(randomized_bell(0.5), tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            numerical_rank(randomized_bell(0.5), tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        numerical_rank(randomize(generate("path:3"), 0.5), tol=float("nan"))
 
 
 def test_subgraph_space_dimension_examples():

@@ -54,7 +54,7 @@ def test_randomization_overlap_validation():
     with pytest.raises(ValueError):
         randomization_overlap(generate("path:3"), 1.2)
     with pytest.raises(SizeLimitError):
-        # frontier width 11: 4^11 x 66 float64 entries, over MAX_CONTRACTION_ENTRIES
+        # planning stops at width 9: 4^9 x 66 float64 entries, over MAX_CONTRACTION_ENTRIES
         randomization_overlap(generate("complete:12"), 0.5)
 
 
