@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache, partial
 from math import isfinite
 from pathlib import Path
 
@@ -204,13 +205,15 @@ def _cmd_negativity(args):
     return 0
 
 
-def _rank(g: Graph, p: float) -> int:
+def _rank(p: float, dimension) -> int:
     """Exact rank of the randomized state: 1 at p in {0, 1}, else its pattern count.
 
     rho = 2^-n P^T K_U P, with P sending x to its pattern u(x) and K_U the block of
     K = (x)_e [[1, q], [q, 1]], q = 1 - 2p, on the distinct patterns; K > 0 for 0 < p < 1.
+    ``dimension()`` gives the pattern count, which does not depend on p; it is
+    called only for 0 < p < 1.
     """
-    return subgraph_space_dimension(g) if 0.0 < p < 1.0 else 1
+    return dimension() if 0.0 < p < 1.0 else 1
 
 
 def _cmd_rank(args):
@@ -218,7 +221,7 @@ def _cmd_rank(args):
     p = _parse_p(args.p)
     if args.dump_matrix:
         export_density(randomize(g, p), args.dump_matrix, p=p, graph_spec=args.graph)
-    _emit_json({"rank": _rank(g, p)})
+    _emit_json({"rank": _rank(p, partial(subgraph_space_dimension, g))})
     return 0
 
 
@@ -241,7 +244,7 @@ def _cmd_sample(args):
     return 0
 
 
-def _sweep_value(quantity, g, p, level, cut, d):
+def _sweep_value(quantity, g, p, level, cut, d, dimension):
     if quantity == "overlap":
         return _overlap_at_level(g, p, level)
     if quantity == "gme_witness":
@@ -250,7 +253,7 @@ def _sweep_value(quantity, g, p, level, cut, d):
         return lhv_witness_value(g, p, level, d).witness_value
     if quantity == "negativity":
         return negativity(randomize(g, p), cut)
-    return _rank(g, p)
+    return _rank(p, dimension)
 
 
 def _cmd_sweep(args):
@@ -263,9 +266,10 @@ def _cmd_sweep(args):
             raise ValueError("sweep of negativity needs --bipartition")
         cut = _parse_bipartition(args.bipartition, g.n)
     d = _lhv_bound_for(g, args.lhv_bound) if args.quantity == "lhv_witness" else None
+    dimension = cache(partial(subgraph_space_dimension, g))  # one count per sweep
     records = [
         SweepRecord(p=p,
-                    value=_sweep_value(args.quantity, g, p, level, cut, d),
+                    value=_sweep_value(args.quantity, g, p, level, cut, d, dimension),
                     quantity=args.quantity, graph_spec=args.graph, level=str(level))
         for p in grid
     ]

@@ -4,14 +4,16 @@ The per-edge gates all commute and each keeps its edge independently with
 probability p, so the mask histogram of ``shots`` preparation runs is one
 multinomial draw over edge masks.  It is drawn by splitting the shot count
 edge by edge on one ``np.random.default_rng(seed)`` stream: each seed gives
-one fixed sample.  A sample is the mask width |E| plus one dict from mask
-bits to count, in ascending bit order.
+one fixed sample.  A sample is the mask width |E| plus two read-only int64
+arrays, the distinct masks in ascending order and their tallies; the
+``counts`` dict view is built only when it is read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,16 +22,25 @@ from .graph import Graph
 from .density import DensityMatrix, subgraph_mixture
 
 MAX_SAMPLE_EDGES = 63
+MAX_SAMPLE_PATTERNS = 1 << 24  # live prefixes: 256 MiB of masks plus tallies
+
+_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparationSample:
     """Edge-mask histogram from repeated preparation runs."""
 
     shots: int
     seed: int
     width: int  # |E|, the number of bits in every mask
-    counts: dict[int, int]  # mask bits -> occurrence count, ascending bits
+    masks: np.ndarray  # int64, the distinct mask bits, ascending, read-only
+    tallies: np.ndarray  # int64, occurrences of each mask, read-only
+
+    @cached_property
+    def counts(self) -> dict[int, int]:
+        """Mask bits -> occurrence count, ascending bits."""
+        return dict(zip(self.masks.tolist(), self.tallies.tolist()))
 
     def mask_counts(self) -> dict[int, int]:
         return dict(self.counts)
@@ -54,28 +65,46 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     if e > MAX_SAMPLE_EDGES:
         raise SizeLimitError(f"sampling capped at |E|={MAX_SAMPLE_EDGES}, got {e}")
 
-    # Live prefixes: masks over edges 0..k-1 and how many shots share each.
-    # A prefix whose shots all go one way is updated in place; one that
-    # splits keeps its dropped shots and appends its kept ones as a child.
+    # Live prefixes: masks over edges 0..k-1 and how many shots share each,
+    # in the first ``live`` slots of arrays grown by doubling.  A prefix whose
+    # shots all go one way is updated in place; one that splits keeps its
+    # dropped shots and appends its kept ones as a child.  ``several`` lists
+    # the prefixes of more than one shot in ascending order; a single-shot
+    # prefix never splits, so the list only loses survivors and gains children.
     rng = np.random.default_rng(seed)
     masks = np.zeros(1, dtype=np.int64)
-    counts = np.array([shots], dtype=np.int64)
+    tallies = np.array([shots], dtype=np.int64)
+    several = np.flatnonzero(tallies > 1)
+    live = 1
     for k in range(e):
-        keep = rng.random(len(counts)) < p  # decides the single-shot prefixes
-        several = np.flatnonzero(counts > 1)
-        total = counts[several]
+        keep = rng.random(live) < p  # decides the single-shot prefixes
+        total = tallies[several]
         kept = rng.binomial(total, p)
         keep[several] = kept == total
-        masks |= keep * (1 << k)
+        masks[:live] |= keep * (1 << k)
         split = (kept > 0) & (kept < total)
         parents = several[split]
-        counts[parents] -= kept[split]
-        masks = np.concatenate([masks, masks[parents] | (1 << k)])
-        counts = np.concatenate([counts, kept[split]])
-    order = np.argsort(masks)
+        children = kept[split]
+        tallies[parents] -= children
+        grown = live + len(parents)
+        if grown > MAX_SAMPLE_PATTERNS:
+            raise SizeLimitError(
+                f"sampling capped at {MAX_SAMPLE_PATTERNS} distinct mask prefixes;"
+                f" edge {k + 1} of {e} needs {grown}")
+        if grown > len(masks):
+            size = min(max(2 * len(masks), grown), MAX_SAMPLE_PATTERNS)
+            masks = np.concatenate([masks[:live], np.empty(size - live, np.int64)])
+            tallies = np.concatenate([tallies[:live], np.empty(size - live, np.int64)])
+        masks[live:grown] = masks[parents] | (1 << k)
+        tallies[live:grown] = children
+        several = np.concatenate([several[tallies[several] > 1],
+                                  live + np.flatnonzero(children > 1)])
+        live = grown
+    order = np.argsort(masks[:live])
+    masks, tallies = masks[order], tallies[order]
+    masks.flags.writeable = tallies.flags.writeable = False
     return PreparationSample(shots=shots, seed=seed, width=e,
-                             counts=dict(zip(masks[order].tolist(),
-                                             counts[order].tolist())))
+                             masks=masks, tallies=tallies)
 
 
 def empirical_state(sample: PreparationSample, g: Graph) -> DensityMatrix:
@@ -83,17 +112,50 @@ def empirical_state(sample: PreparationSample, g: Graph) -> DensityMatrix:
     if sample.width != g.edge_count:
         raise ValueError(
             f"sample mask width {sample.width} does not match |E|={g.edge_count}")
-    weights = {bits: c / sample.shots for bits, c in sample.counts.items()}
-    return subgraph_mixture(g, weights)
+    weights = sample.tallies / sample.shots
+    return subgraph_mixture(g, dict(zip(sample.masks.tolist(), weights.tolist())))
+
+
+def _write_digits(values: np.ndarray, cells: np.ndarray, keep: np.ndarray,
+                  base: int) -> None:
+    """Right-aligned ASCII digits of non-negative ``values`` in base 10 or 16.
+
+    ``cells`` and ``keep`` are (len(values), width) views; ``keep`` is cleared
+    on leading zeros, but one digit stays for the value 0.
+    """
+    v = values.copy()
+    for j in range(cells.shape[1] - 1, -1, -1):
+        if j < cells.shape[1] - 1:
+            keep[:, j] = v != 0
+        if base == 16:
+            digit = v & 15
+            v >>= 4
+        else:
+            v, digit = np.divmod(v, base)
+        cells[:, j] = _DIGITS[digit]
 
 
 def sample_to_json(sample: PreparationSample, *, graph_spec: str, p: float) -> str:
-    """Serialize a sample with hex-keyed mask counts."""
-    counts = {hex(bits): c for bits, c in sample.counts.items()}
-    return json.dumps({
-        "graph_spec": graph_spec,
-        "p": p,
-        "shots": sample.shots,
-        "seed": sample.seed,
-        "counts": counts,
-    }, separators=(",", ":"))
+    """Serialize a sample with hex-keyed mask counts.
+
+    The text equals ``json.dumps`` of the header fields and the dict
+    ``{hex(bits): count}`` with separators ``(",", ":")``.  The counts body
+    is one byte matrix, a row ``"0x<mask>":<tally>,`` per mask, with the
+    leading zeros and the last comma masked out: no per-entry objects.
+    """
+    head = json.dumps({"graph_spec": graph_spec, "p": p, "shots": sample.shots,
+                       "seed": sample.seed}, separators=(",", ":"))
+    masks, tallies = sample.masks, sample.tallies
+    hex_width = max(1, (int(masks.max()).bit_length() + 3) // 4)
+    dec_width = len(str(int(tallies.max())))
+    a, b = 3 + hex_width, 5 + hex_width  # the mask digits are cells[:, 3:a]
+    cells = np.empty((len(masks), b + dec_width + 1), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    cells[:, :3] = np.frombuffer(b'"0x', dtype=np.uint8)
+    _write_digits(masks, cells[:, 3:a], keep[:, 3:a], 16)
+    cells[:, a:b] = np.frombuffer(b'":', dtype=np.uint8)
+    _write_digits(tallies, cells[:, b:-1], keep[:, b:-1], 10)
+    cells[:, -1] = ord(",")
+    keep[-1, -1] = False
+    body = cells[keep].tobytes().decode("ascii")
+    return f'{head[:-1]},"counts":{{{body}}}}}'

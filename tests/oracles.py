@@ -10,6 +10,7 @@ per-string counting over 2^|E| subsets is too slow for |E| = 17.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -234,3 +235,10 @@ def split_sample_counts(g, p, shots, seed):
                 children.append((bits | 1 << k, kept))
         level += children
     return dict(sorted(level))
+
+
+def dict_sample_json(counts, *, shots, seed, graph_spec, p):
+    """Sample JSON as ``json.dumps`` writes it from a ``{hex(bits): count}`` dict."""
+    return json.dumps({"graph_spec": graph_spec, "p": p, "shots": shots, "seed": seed,
+                       "counts": {hex(bits): c for bits, c in counts.items()}},
+                      separators=(",", ":"))

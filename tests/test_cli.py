@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_subgraph_dimension, random_graph
-from rgstates import cli, serialize_graph
+from rgstates import cli, sampler, serialize_graph, subgraph_space_dimension
 from rgstates.cli import main
 
 
@@ -73,6 +73,25 @@ def test_rank_builds_no_density_matrix(capsys, monkeypatch, tmp_path):
     with pytest.raises(AssertionError, match="randomize called"):
         main(["rank", "--graph", "path:2", "--p", "0.5",
               "--dump-matrix", str(tmp_path / "rho")])
+
+
+def test_sweep_rank_counts_patterns_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return subgraph_space_dimension(g)
+    monkeypatch.setattr(cli, "subgraph_space_dimension", counted)
+    code, out, _ = run(capsys, "sweep", "--graph", "cycle:5", "--quantity", "rank",
+                       "--p-grid", "0:1:0.01")
+    rows = out.splitlines()[1:]
+    assert (code, len(rows), len(calls)) == (0, 101, 1)
+    assert rows[0] == "0,1" and rows[-1] == "1,1"
+    assert {row.split(",")[1] for row in rows[1:-1]} == {"17"}
+    calls.clear()
+    assert run(capsys, "sweep", "--graph", "cycle:5", "--quantity", "rank",
+               "--p-grid", "0:1:1")[:2] == (0, "p,value\n0,1\n1,1\n")
+    assert calls == []  # no count is needed at p in {0, 1}
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,6 +230,15 @@ def test_sample_rejects_shots_past_int64(capsys):
                          "--shots", str(1 << 63))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sample_refuses_too_many_prefixes(capsys, monkeypatch):
+    monkeypatch.setattr(sampler, "MAX_SAMPLE_PATTERNS", 1000)
+    code, out, err = run(capsys, "sample", "--graph", "complete:11", "--p", "0.5",
+                         "--shots", "1000000000000", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: sampling capped at 1000 distinct mask prefixes;"
+                   " edge 10 of 55 needs 1024\n")
 
 
 def test_figs_rejects_threads_below_one(capsys, tmp_path):

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from rgstates import (Graph, SizeLimitError, empirical_state, generate,
-                      graph_state_vector, randomize, sample_preparation,
+from rgstates import (Graph, PreparationSample, SizeLimitError, empirical_state,
+                      generate, graph_state_vector, randomize, sample_preparation,
                       sample_to_json)
-from oracles import brute_mixture, random_graph, split_sample_counts
+from oracles import brute_mixture, dict_sample_json, random_graph, split_sample_counts
 
 PATH3 = generate("path:3")
 
@@ -90,7 +90,9 @@ def test_per_edge_inclusion_within_five_sigma():
 
 
 def test_empirical_state_extremes():
-    full = empirical_state(sample_preparation(PATH3, 1.0, 100, 3), PATH3)
+    sample = sample_preparation(PATH3, 1.0, 100, 3)
+    full = empirical_state(sample, PATH3)
+    assert "counts" not in vars(sample)  # weights come from the arrays
     signs = graph_state_vector(PATH3).signs.astype(float)
     assert np.allclose(full.entries, np.outer(signs, signs) / 8, atol=1e-14)
     empty = empirical_state(sample_preparation(PATH3, 0.0, 100, 3), PATH3)
@@ -132,15 +134,26 @@ def test_counts_are_edge_masks_summing_to_shots():
 
 
 def test_merged_counts_match_batchwise_oracle():
-    g = generate("complete:7")  # 21 edges; ~15 000 distinct masks of 50 000 shots
-    expected = split_sample_counts(g, 0.85, 50_000, 31)
-    for threads in (1, 3):
-        sample = sample_preparation(g, 0.85, 50_000, 31, threads=threads)
-        assert sample.counts == expected
-        keys = list(sample.counts)
-        assert all(a < b for a, b in zip(keys, keys[1:]))
-        doc = json.loads(sample_to_json(sample, graph_spec="complete:7", p=0.85))
-        assert list(doc["counts"]) == [hex(m) for m in keys]
+    # complete:7: 21 edges, ~15 000 distinct masks of 50 000 shots; grid:4x4:
+    # 24 edges, nearly every shot its own mask, so the prefix arrays grow by
+    # doubling and most multi-shot prefixes leave the list within a few edges
+    for spec, p, shots, seed in (("complete:7", 0.85, 50_000, 31),
+                                 ("grid:4x4", 0.55, 20_000, 5)):
+        g = generate(spec)
+        expected = split_sample_counts(g, p, shots, seed)
+        for threads in (1, 3):
+            sample = sample_preparation(g, p, shots, seed, threads=threads)
+            text = sample_to_json(sample, graph_spec=spec, p=p)
+            assert "counts" not in vars(sample)  # the JSON path builds no dict
+            assert text == dict_sample_json(expected, shots=shots, seed=seed,
+                                            graph_spec=spec, p=p)
+            for a in (sample.masks, sample.tallies):
+                assert a.dtype == np.int64 and not a.flags.writeable
+            assert np.all(np.diff(sample.masks) > 0)
+            assert np.all(sample.tallies > 0) and int(sample.tallies.sum()) == shots
+            assert sample.counts == expected
+            keys = list(sample.counts)
+            assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_sample_json_schema():
@@ -148,3 +161,34 @@ def test_sample_json_schema():
     doc = json.loads(sample_to_json(sample, graph_spec="file:g.json", p=1.0))
     assert doc == {"graph_spec": "file:g.json", "p": 1.0, "shots": 10,
                    "seed": 7, "counts": {"0x1": 10}}
+
+
+@pytest.mark.parametrize("pairs, width, graph_spec, p", [
+    ([(0, 1)], 1, "path:2", 0.5),  # "0x0"
+    ([(0, 3), (1, 2), (2, 5)], 2, "path:3", 0.0),
+    ([(15, 9), (16, 10), (255, 99), (256, 100)], 9, "file:g.json", 1.0),
+    ([(1, 10 ** 18)], 1, "path:2", 0.1 + 0.2),
+    ([(5, 7), ((1 << 63) - 1, (1 << 63) - 8)], 63, "complete:12", 1e-300),
+    ([(1 << 40, 1), ((1 << 40) + 1, 10 ** 9)], 41, 'file:q"uot\u00e9.json', 0.55),
+    ([(3, 4)], 2, 'fi"l\u00e9 \u2014 g', 1 - 1e-16),
+])
+def test_sample_json_equals_dict_dump(pairs, width, graph_spec, p):
+    masks = np.array([m for m, _ in pairs], dtype=np.int64)
+    tallies = np.array([c for _, c in pairs], dtype=np.int64)
+    shots = sum(c for _, c in pairs)
+    sample = PreparationSample(shots=shots, seed=(1 << 64) - 1, width=width,
+                               masks=masks, tallies=tallies)
+    expected = dict_sample_json(dict(pairs), shots=shots, seed=(1 << 64) - 1,
+                                graph_spec=graph_spec, p=p)
+    assert sample_to_json(sample, graph_spec=graph_spec, p=p) == expected
+
+
+def test_sample_keeps_counts_view_lazy():
+    sample = sample_preparation(generate("cycle:5"), 0.4, 3000, 12)
+    assert "counts" not in vars(sample)
+    view = sample.mask_counts()
+    assert view == dict(zip(sample.masks.tolist(), sample.tallies.tolist()))
+    assert sample.counts is sample.counts  # built once, on first access
+    view[0] = -1
+    assert sample.counts[0] != -1  # mask_counts() is a copy
+
