@@ -27,6 +27,7 @@ from .sampler import sample_preparation, sample_to_json
 QUANTITIES = ("overlap", "gme_witness", "lhv_witness", "negativity", "rank")
 FIG_TARGETS = ("fig4", "fig5", "fig6", "fig7", "fig9")
 MAX_SWEEP_POINTS = 10 ** 6
+MAX_NEGATIVITY_SWEEP_WORK = 10 ** 12  # points x 8^n: 14 points at n = 12
 
 
 @dataclass(frozen=True)
@@ -265,6 +266,12 @@ def _cmd_sweep(args):
         if not args.bipartition:
             raise ValueError("sweep of negativity needs --bipartition")
         cut = _parse_bipartition(args.bipartition, g.n)
+        # each point is one eigensolve, at most dense: 8^n for a 2^n x 2^n matrix
+        work = len(grid) * 8 ** g.n
+        if work > MAX_NEGATIVITY_SWEEP_WORK:
+            raise SizeLimitError(
+                f"negativity sweep of {len(grid)} points at n={g.n} is estimated at"
+                f" {work:.3g} (points x 8^n); the limit is {MAX_NEGATIVITY_SWEEP_WORK:.0e}")
     d = _lhv_bound_for(g, args.lhv_bound) if args.quantity == "lhv_witness" else None
     dimension = cache(partial(subgraph_space_dimension, g))  # one count per sweep
     records = [

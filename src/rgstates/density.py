@@ -6,6 +6,15 @@ single numerical kernel is the symmetric eigendecomposition.  Every mixture
 of subgraph projectors has entries 2^-n * chi[u(x) XOR u(y)], built from the
 excitation patterns u(x) and a character table chi over edge masks.
 
+Such a matrix repeats rows: rho has one distinct row per pattern u(x), and
+many rows of its partial transpose repeat too.  The eigensolve therefore
+runs on the distinct rows only.  When the rows of a real symmetric M fall
+into classes of bit-identical rows, M = P^T A P, where A = M[R, R] keeps one
+representative row and column per class and P is the class indicator.  The
+nonzero spectrum of M is that of D^1/2 A D^1/2, with D the class sizes, and
+every eigenvalue dropped with the merged rows is exactly 0.  Rows are merged
+only when they are verified bit-equal, never by hash or tolerance alone.
+
 ``numerical_rank`` counts eigenvalues above a relative cutoff, so it can
 miss eigenvalues that are tiny but nonzero, as near p = 0 or 1.  The exact
 rank of ``randomize(g, p)`` for 0 < p < 1 is ``subgraph_space_dimension(g)``,
@@ -29,6 +38,7 @@ from .state import excitation_patterns, walsh_hadamard
 MAX_DENSITY_QUBITS = 12
 MAX_DENSITY_EDGES = 24
 RANK_TOL = 1e-10
+_ROW_BLOCK = 64  # rows hashed, verified or scaled per step: no full-size temporary
 
 
 @dataclass(frozen=True)
@@ -39,16 +49,18 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        dim = 1 << self.n
-        if self.entries.shape != (dim, dim):
+        dim, e = 1 << self.n, self.entries
+        if e.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix for n={self.n}")
-        if not np.allclose(self.entries, self.entries.T, atol=1e-12, rtol=0):
+        # the exact test settles every matrix built here without allclose's temporaries
+        if not (np.array_equal(e, e.T) or np.allclose(e, e.T, atol=1e-12, rtol=0)):
             raise ValueError("density matrix is not symmetric")
-        if abs(float(np.trace(self.entries)) - 1.0) > 1e-12:
+        if abs(float(np.trace(e)) - 1.0) > 1e-12:
             raise ValueError("density matrix trace differs from 1")
 
     def smallest_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
+        evals, merged = _merged_spectrum(self.entries)
+        return min(float(evals[0]), 0.0) if merged else float(evals[0])
 
 
 @dataclass(frozen=True)
@@ -140,17 +152,69 @@ def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(perm).reshape(1 << n, 1 << n))
 
 
+def _row_hashes(bits: np.ndarray) -> np.ndarray:
+    """Per-row uint64 hash sum_j f(bits[:, j]) * w_j (mod 2^64), one row block at a time.
+
+    f(b) = b XOR (b >> 32) is a bijection that folds the sign and exponent
+    into the low word: a sum of products keeps the trailing zeros common to
+    its terms, and dyadic entries such as +-2^-n have 52 zero low bits.  The
+    weights w_j are splitmix64 outputs of the column index: fixed, so
+    nothing random is drawn, and not linear in j, so rows that permute each
+    other's entries rarely collide.
+    """
+    w = np.arange(1, bits.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    w ^= w >> np.uint64(30)
+    w *= np.uint64(0xBF58476D1CE4E5B9)
+    w ^= w >> np.uint64(27)
+    w *= np.uint64(0x94D049BB133111EB)
+    w ^= w >> np.uint64(31)
+    h = np.empty(len(bits), dtype=np.uint64)
+    for a in range(0, len(bits), _ROW_BLOCK):
+        block = bits[a:a + _ROW_BLOCK]
+        h[a:a + _ROW_BLOCK] = (block ^ (block >> np.uint64(32))) @ w
+    return h
+
+
+def _merged_spectrum(m: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Ascending eigenvalues of D^1/2 A D^1/2 for real symmetric ``m``, and whether rows merged.
+
+    Rows with equal hashes join the class of the first such row, then each
+    row is checked bit-equal to that representative; a row that differs (a
+    hash collision) stays its own class.  A = m[R, R] on the representatives
+    R, D their class sizes.  The result is the spectrum of ``m`` less the
+    exact zeros of the merged rows (see the module docstring).
+    """
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    dim = len(m)
+    bits = m.view(np.uint64)
+    _, first, inverse = np.unique(_row_hashes(bits), return_index=True,
+                                  return_inverse=True)
+    rep = first[inverse]
+    for a in range(0, dim, _ROW_BLOCK):
+        block = slice(a, a + _ROW_BLOCK)
+        differs = (bits[block] != bits[rep[block]]).any(axis=1)
+        rep[block][differs] = np.arange(a, min(a + _ROW_BLOCK, dim))[differs]
+    reps = np.flatnonzero(rep == np.arange(dim))
+    merged = len(reps) < dim
+    if merged:
+        sizes = np.bincount(rep, minlength=dim)[reps]
+        m = m[np.ix_(reps, reps)]
+        for a in range(0, len(reps), _ROW_BLOCK):  # one rounding: sqrt(d_i d_j)
+            m[a:a + _ROW_BLOCK] *= np.sqrt(sizes[a:a + _ROW_BLOCK, None] * sizes)
+    return np.linalg.eigvalsh(m), merged
+
+
 def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    evals = np.linalg.eigvalsh(partial_transpose(rho, cut))
-    return float(-evals[evals < 0.0].sum())
+    evals, _ = _merged_spectrum(partial_transpose(rho, cut))
+    return float(np.abs(evals[evals < 0.0]).sum())
 
 
 def numerical_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     """Number of eigenvalues above ``tol`` relative to the largest one."""
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    evals = np.linalg.eigvalsh(rho.entries)
+    evals, _ = _merged_spectrum(rho.entries)
     top = float(evals[-1])
     if top <= 0.0:
         return 0

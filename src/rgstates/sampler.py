@@ -23,6 +23,7 @@ from .density import DensityMatrix, subgraph_mixture
 
 MAX_SAMPLE_EDGES = 63
 MAX_SAMPLE_PATTERNS = 1 << 24  # live prefixes: 256 MiB of masks plus tallies
+_DRAW_BLOCK = 1 << 16  # prefixes per step of the per-edge draws and bit sets
 
 _DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
@@ -69,42 +70,54 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     # in the first ``live`` slots of arrays grown by doubling.  A prefix whose
     # shots all go one way is updated in place; one that splits keeps its
     # dropped shots and appends its kept ones as a child.  ``several`` lists
-    # the prefixes of more than one shot in ascending order; a single-shot
-    # prefix never splits, so the list only loses survivors and gains children.
+    # the prefixes of more than one shot in ascending order.
+    # Per edge, only arrays of one entry per live or multi-shot prefix are
+    # held: the uniforms and the edge bit go in blocks, and a refusal comes
+    # before the children are gathered.
     rng = np.random.default_rng(seed)
     masks = np.zeros(1, dtype=np.int64)
     tallies = np.array([shots], dtype=np.int64)
     several = np.flatnonzero(tallies > 1)
     live = 1
     for k in range(e):
-        keep = rng.random(live) < p  # decides the single-shot prefixes
-        total = tallies[several]
-        kept = rng.binomial(total, p)
-        keep[several] = kept == total
-        masks[:live] |= keep * (1 << k)
-        split = (kept > 0) & (kept < total)
-        parents = several[split]
-        children = kept[split]
-        tallies[parents] -= children
-        grown = live + len(parents)
+        keep = np.empty(live, dtype=bool)  # decides the single-shot prefixes
+        for a in range(0, live, _DRAW_BLOCK):
+            np.less(rng.random(min(_DRAW_BLOCK, live - a)), p, out=keep[a:a + _DRAW_BLOCK])
+        kept = rng.binomial(tallies[several], p)
+        whole = kept == tallies[several]
+        keep[several] = whole
+        for a in range(0, live, _DRAW_BLOCK):
+            masks[a:min(a + _DRAW_BLOCK, live)] |= keep[a:a + _DRAW_BLOCK] * (1 << k)
+        split = (kept > 0) & ~whole
+        grown = live + int(np.count_nonzero(split))
         if grown > MAX_SAMPLE_PATTERNS:
             raise SizeLimitError(
                 f"sampling capped at {MAX_SAMPLE_PATTERNS} distinct mask prefixes;"
                 f" edge {k + 1} of {e} needs {grown}")
+        parents = several[split]
+        children = kept[split]
+        tallies[parents] -= children
         if grown > len(masks):
             size = min(max(2 * len(masks), grown), MAX_SAMPLE_PATTERNS)
-            masks = np.concatenate([masks[:live], np.empty(size - live, np.int64)])
-            tallies = np.concatenate([tallies[:live], np.empty(size - live, np.int64)])
+            masks = _regrown(masks, live, size)
+            tallies = _regrown(tallies, live, size)
         masks[live:grown] = masks[parents] | (1 << k)
         tallies[live:grown] = children
-        several = np.concatenate([several[tallies[several] > 1],
-                                  live + np.flatnonzero(children > 1)])
         live = grown
+        del keep, kept, whole, split, parents, children  # before ``several`` is rebuilt
+        several = np.flatnonzero(tallies[:live] > 1)
     order = np.argsort(masks[:live])
     masks, tallies = masks[order], tallies[order]
     masks.flags.writeable = tallies.flags.writeable = False
     return PreparationSample(shots=shots, seed=seed, width=e,
                              masks=masks, tallies=tallies)
+
+
+def _regrown(a: np.ndarray, live: int, size: int) -> np.ndarray:
+    """A ``size``-slot copy of ``a`` holding its first ``live`` entries."""
+    out = np.empty(size, dtype=a.dtype)
+    out[:live] = a[:live]
+    return out
 
 
 def empirical_state(sample: PreparationSample, g: Graph) -> DensityMatrix:

@@ -122,6 +122,18 @@ def brute_mixture(g, weights):
     return rho
 
 
+def index_swap_transpose(matrix, side_a):
+    """Partial transpose by its definition: swap the side-A bits of row and column."""
+    idx = np.arange(len(matrix))
+    r, c = idx[:, None], idx[None, :]
+    return matrix[(c & side_a) | (r & ~side_a), (r & side_a) | (c & ~side_a)]
+
+
+def full_spectrum(matrix):
+    """Every eigenvalue of a real symmetric matrix, from one dense ``eigvalsh``."""
+    return np.linalg.eigvalsh(matrix)
+
+
 def dense_generator(g, i):
     """Stabilizer generator X_i Z_N(i) as a dense matrix."""
     m = local_op(X, i, g.n)

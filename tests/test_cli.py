@@ -407,6 +407,27 @@ def test_sweep_refuses_too_many_points(capsys, monkeypatch):
                "--p-grid", "0:1:1e-6")[0] == 1
 
 
+GRID34_HALVES = "0,1,2,3,4,5|6,7,8,9,10,11"
+
+
+def test_negativity_sweep_refused_by_work_estimate(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a density matrix was built")
+    monkeypatch.setattr(cli, "randomize", unreachable)
+    sweep = ("sweep", "--quantity", "negativity", "--graph", "grid:3x4",
+             "--bipartition", GRID34_HALVES, "--p-grid")
+    assert run(capsys, *sweep, "0:1:1e-6")[:2] == (1, "")  # the point cap
+    code, out, err = run(capsys, *sweep, "0:1:0.001")
+    assert (code, out) == (1, "")
+    assert err == ("error: negativity sweep of 1001 points at n=12 is estimated at"
+                   " 6.88e+13 (points x 8^n); the limit is 1e+12\n")
+    # 11 points at n = 12 are 7.6e11, inside the limit: admitted
+    monkeypatch.setattr(cli, "randomize", lambda g, p: None)
+    monkeypatch.setattr(cli, "negativity", lambda rho, cut: 0.5)
+    code, out, _ = run(capsys, *sweep, "0:1:0.1")
+    assert code == 0 and out.count("\n") == 12
+
+
 def test_grid_includes_endpoints(capsys):
     code, out, _ = run(capsys, "sweep", "--graph", "star:3", "--quantity",
                        "overlap", "--p-grid", "0.1:0.7:0.2")

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 
 from rgstates import (Bipartition, DensityMatrix, Graph, SizeLimitError,
-                      export_density, generate, graph_state_vector, negativity,
-                      numerical_rank, partial_transpose, randomize,
-                      randomized_bell, subgraph_mixture,
+                      density, empirical_state, export_density, generate,
+                      graph_state_vector, negativity, numerical_rank,
+                      partial_transpose, randomize, randomized_bell,
+                      sample_preparation, subgraph_mixture,
                       subgraph_space_dimension)
 from conftest import graphs
-from oracles import brute_mixture, brute_subgraph_dimension, connected, random_graph
+from oracles import (brute_mixture, brute_subgraph_dimension, connected,
+                     full_spectrum, index_swap_transpose, random_graph)
 
 EDGE = Graph(2, ((0, 1),))
 
@@ -83,6 +85,17 @@ def test_density_matrix_rejects_bad_input():
         DensityMatrix(1, np.array([[0.5, 0.1], [0.2, 0.5]]))  # not symmetric
     with pytest.raises(ValueError):
         DensityMatrix(1, np.eye(2))  # trace 2
+
+
+def test_density_matrix_symmetry_tolerance():
+    def with_offdiagonal(upper, lower):
+        return np.array([[0.5, upper], [lower, 0.5]])
+    DensityMatrix(1, with_offdiagonal(0.1, 0.1 + 5e-13))
+    DensityMatrix(1, with_offdiagonal(np.inf, np.inf))
+    for upper, lower in ((0.1, 0.1 + 2e-12), (np.nan, np.nan), (0.1, np.nan),
+                         (np.inf, -np.inf), (np.inf, 0.1)):
+        with pytest.raises(ValueError, match="not symmetric"):
+            DensityMatrix(1, with_offdiagonal(upper, lower))
 
 
 def test_bipartition_validation():
@@ -256,3 +269,110 @@ def test_export_density(tmp_path):
     import json
     header = json.loads(json_path.read_text())
     assert header == {"n": 2, "p": 0.5, "graph_spec": "bell"}
+
+
+def _assert_spectra_match_oracle(rho, cuts):
+    """negativity, numerical_rank and smallest_eigenvalue against full eigensolves."""
+    evals = full_spectrum(rho.entries)
+    assert abs(rho.smallest_eigenvalue() - evals[0]) <= 1e-12
+    assert numerical_rank(rho) == int(np.count_nonzero(evals > 1e-10 * evals[-1]))
+    for side_a in cuts:
+        pt = full_spectrum(index_swap_transpose(rho.entries, side_a))
+        expected = float(-pt[pt < 0.0].sum())
+        assert abs(negativity(rho, Bipartition(rho.n, side_a)) - expected) <= 1e-12
+
+
+def _random_cuts(rng, n, count=3):
+    return [int(rng.integers(1, (1 << n) - 1)) for _ in range(count)]
+
+
+def test_merged_spectra_match_full_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        g = random_graph(rng, 8)
+        if g.edge_count > density.MAX_DENSITY_EDGES:
+            continue
+        cuts = _random_cuts(rng, g.n)
+        for p in (0.0, float(rng.uniform(0.02, 0.98)), 1.0):
+            _assert_spectra_match_oracle(randomize(g, p), cuts)
+
+
+def test_merged_spectra_of_mixtures_and_samples():
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        g = random_graph(rng, 7, min_n=3)
+        e = g.edge_count
+        kept = [m for m in range(1 << e) if rng.random() < 0.3] or [0]
+        raw = rng.random(len(kept))
+        cuts = _random_cuts(rng, g.n)
+        _assert_spectra_match_oracle(
+            subgraph_mixture(g, dict(zip(kept, (raw / raw.sum()).tolist()))), cuts)
+        sample = sample_preparation(g, float(rng.uniform(0.2, 0.8)), 300,
+                                    int(rng.integers(1 << 32)))
+        _assert_spectra_match_oracle(empirical_state(sample, g), cuts)
+
+
+def test_merged_spectrum_without_duplicate_rows():
+    rng = np.random.default_rng(31)
+    m = rng.normal(size=(16, 16))
+    m = m + m.T
+    rho = DensityMatrix(4, m / np.trace(m))
+    assert not density._merged_spectrum(rho.entries)[1]
+    _assert_spectra_match_oracle(rho, (0b0001, 0b0110, 0b1011))
+
+
+def test_merged_spectrum_keeps_signed_zeros_apart():
+    # rows 0 and 1 are equal as values; one of their zero entries is -0.0 in row 1
+    a = np.array([[0.3, 0.0, 0.1], [0.0, 0.2, 0.05], [0.1, 0.05, 0.2]])
+    classes = [0, 0, 1, 2]
+    m = a[np.ix_(classes, classes)] / 1.0
+    m[1, 2] = m[2, 1] = -0.0
+    assert np.array_equal(m[0], m[1])
+    rho = DensityMatrix(2, m)
+    evals, merged = density._merged_spectrum(rho.entries)
+    assert not merged and len(evals) == 4
+    _assert_spectra_match_oracle(rho, (0b01, 0b10))
+    m[1, 2] = m[2, 1] = 0.0  # bit-equal now: one 3x3 solve
+    evals, merged = density._merged_spectrum(DensityMatrix(2, m).entries)
+    assert merged and len(evals) == 3
+
+
+def test_merged_spectrum_verifies_hash_collisions(monkeypatch):
+    # every row in one hash bucket: only rows verified bit-equal to row 0 merge
+    monkeypatch.setattr(density, "_row_hashes", lambda bits: np.zeros(len(bits), np.uint64))
+    rng = np.random.default_rng(37)
+    for spec in ("star:5", "grid:2x3", "complete:4"):
+        g = generate(spec)
+        rho = randomize(g, float(rng.uniform(0.2, 0.8)))
+        _assert_spectra_match_oracle(rho, _random_cuts(rng, g.n))
+    rho = randomize(generate("path:3"), 0.0)  # every row equal: one 1x1 solve
+    evals, merged = density._merged_spectrum(rho.entries)
+    assert merged and evals.tolist() == [1.0]
+
+
+def test_rank_solves_only_the_distinct_rows(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrix):
+        shapes.append(matrix.shape)
+        return eigvalsh(matrix)
+    monkeypatch.setattr(density.np.linalg, "eigvalsh", spy)
+    rho = randomize(generate("star:10"), 0.7)
+    assert numerical_rank(rho) == 512
+    assert shapes == [(512, 512)]
+
+
+def test_merge_finds_every_repeated_row():
+    # entries such as +-2^-n (p = 1) or 0 and 2^-n (p = 1/2) share their low bits
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        g = random_graph(rng, 8, min_n=3)
+        if g.edge_count > density.MAX_DENSITY_EDGES:
+            continue
+        for p in (0.5, 1.0, float(rng.uniform(0.05, 0.95))):
+            rho = randomize(g, p)
+            cut = Bipartition(g.n, int(rng.integers(1, (1 << g.n) - 1)))
+            for m in (rho.entries, partial_transpose(rho, cut)):
+                distinct = len(np.unique(m.view(np.uint64), axis=0))
+                assert len(density._merged_spectrum(m)[0]) == distinct

@@ -6,7 +6,7 @@ import pytest
 
 from rgstates import (Graph, PreparationSample, SizeLimitError, empirical_state,
                       generate, graph_state_vector, randomize, sample_preparation,
-                      sample_to_json)
+                      sample_to_json, sampler)
 from oracles import brute_mixture, dict_sample_json, random_graph, split_sample_counts
 
 PATH3 = generate("path:3")
@@ -154,6 +154,14 @@ def test_merged_counts_match_batchwise_oracle():
             assert sample.counts == expected
             keys = list(sample.counts)
             assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_block_draws_keep_the_stream(monkeypatch):
+    # draws and bit sets in blocks of 1000 prefixes, against the one-list oracle
+    monkeypatch.setattr(sampler, "_DRAW_BLOCK", 1000)
+    g = generate("grid:4x4")
+    sample = sample_preparation(g, 0.55, 20_000, 5)
+    assert sample.counts == split_sample_counts(g, 0.55, 20_000, 5)
 
 
 def test_sample_json_schema():
