@@ -41,6 +41,23 @@ RANK_TOL = 1e-10
 _ROW_BLOCK = 64  # rows hashed, verified or scaled per step: no full-size temporary
 
 
+def _is_symmetric(e: np.ndarray) -> bool:
+    """``allclose(e, e.T, atol=1e-12, rtol=0)``, one upper-triangle tile at a time.
+
+    Each _ROW_BLOCK-square tile is matched against its mirror tile, so both
+    stay in cache where a whole-matrix ``e.T`` walks a column per row.  The
+    exact test settles every matrix built here without allclose's temporaries.
+    """
+    dim, b = len(e), _ROW_BLOCK
+    for i in range(0, dim, b):
+        for j in range(i, dim, b):
+            tile, mirror = e[i:i + b, j:j + b], e[j:j + b, i:i + b].T
+            if not (np.array_equal(tile, mirror)
+                    or np.allclose(tile, mirror, atol=1e-12, rtol=0)):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Dense real symmetric 2^n x 2^n operator with unit trace."""
@@ -52,8 +69,7 @@ class DensityMatrix:
         dim, e = 1 << self.n, self.entries
         if e.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix for n={self.n}")
-        # the exact test settles every matrix built here without allclose's temporaries
-        if not (np.array_equal(e, e.T) or np.allclose(e, e.T, atol=1e-12, rtol=0)):
+        if not _is_symmetric(e):
             raise ValueError("density matrix is not symmetric")
         if abs(float(np.trace(e)) - 1.0) > 1e-12:
             raise ValueError("density matrix trace differs from 1")

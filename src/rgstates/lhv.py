@@ -7,6 +7,14 @@ Z observables.  Both the classical bound and single assignment values read
 one stabilizer table: a sign and a per-qubit Pauli code (I, X, Z, Y) for
 each of the 2^n elements.  An assignment's value is a product of per-qubit
 local values, so the sum over elements contracts one qubit at a time.
+
+The search is gauge-fixed to a_z = +1 on every qubit, 4^n of the 8^n
+assignments.  Flip the local values that anticommute with a stabilizer
+element S_M at each site: a_z, a_y where S_M has X; a_x, a_y where Z; a_x,
+a_z where Y.  Every element commutes with S_M, so it anticommutes with it at
+an even number of sites, and its term, hence the value, is unchanged.  a_z
+at qubit k flips exactly when k is in M, so each orbit of 2^n equal-valued
+assignments has exactly one member with a_z = +1 on every qubit.
 """
 
 from __future__ import annotations
@@ -22,11 +30,12 @@ from .witness import (DEFAULT_BRACKET, DEFAULT_THRESHOLD_TOL, WitnessEvaluation,
                       find_threshold)
 
 MAX_BELL_QUBITS = 10
-MAX_LHV_QUBITS = 8
+MAX_LHV_QUBITS = 12
 
-# row b: values of (I, X, Z, Y) under the b-th of the 8 local sign choices
-_LOCAL_VALUES = np.array([(1, a_x, a_z, a_y) for a_x in (1, -1)
-                          for a_y in (1, -1) for a_z in (1, -1)], dtype=np.float32)
+# row b: values of (I, X, Z, Y) under the b-th local sign choice with a_z = +1;
+# the a_z = -1 choices repeat these values (module docstring), so they are left out
+_LOCAL_VALUES = np.array([(1, a_x, 1, a_y) for a_x in (1, -1) for a_y in (1, -1)],
+                         dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -134,12 +143,14 @@ def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
 
 
 def lhv_bound(g: Graph) -> float:
-    """Classical bound D(g): max |<B>| over all 8^n noncontextual assignments.
+    """Classical bound D(g): max |<B>| over all noncontextual assignments.
 
     The element signs are summed into a (4,)*n tensor indexed by Pauli code;
-    contracting each qubit's axis with the 8x4 local-value table gives every
-    assignment value.  Every partial sum is an integer of modulus <= 2^n <= 256,
-    so float32 holds it exactly at half the memory of float64.
+    contracting each qubit's axis with the 4x4 local-value table of a_z = +1
+    gives the value of each of the 4^n gauge-fixed assignments, which take
+    every value that the 8^n assignments take.  Every partial sum is an
+    integer of modulus <= 2^n <= 2^12 < 2^24, so float32 holds it exactly at
+    half the memory of float64.
     """
     if g.n > MAX_LHV_QUBITS:
         raise SizeLimitError(f"LHV search capped at n={MAX_LHV_QUBITS}, got {g.n}")
@@ -148,7 +159,7 @@ def lhv_bound(g: Graph) -> float:
     np.add.at(values, tuple(paulis.T), signs)
     for _ in range(g.n):  # the leading axis is always the next qubit's
         values = np.tensordot(values, _LOCAL_VALUES, axes=(0, 1))
-    # no np.abs: that would be another 8^n temporary
+    # no np.abs: that would be another 4^n temporary
     return float(max(values.max(), -values.min())) / (1 << g.n)
 
 
@@ -167,10 +178,10 @@ def lhv_threshold(g: Graph, level=2, d: float | None = None,
                   tol: float = DEFAULT_THRESHOLD_TOL, bracket=DEFAULT_BRACKET):
     """Randomness threshold above which the LHV witness turns negative.
 
-    ``d`` defaults to the brute-force classical bound; None when the witness
+    ``d`` defaults to the exact classical bound; None when the witness
     has no zero crossing on the bracket.
     """
-    _check_tol(tol)  # before the 8^n bound search
+    _check_tol(tol)  # before the 4^n bound search
     bound = lhv_bound(g) if d is None else d
     if not 0.0 < bound <= 1.0:
         raise ValueError(f"classical bound must be in (0, 1], got {bound}")

@@ -3,10 +3,14 @@
 Everything here recomputes from first principles (per-string edge counting,
 dense Kronecker products, subset enumeration) and deliberately avoids the
 package's excitation-pattern, F2-elimination, Walsh-Hadamard, symplectic,
-and contraction code paths.  The one exception is ``brute_level_coefficients``,
-whose per-subset overlaps come from ``state.signed_sum`` (checked against
-per-string counting through ``empty_overlap`` in test_state.py), because
-per-string counting over 2^|E| subsets is too slow for |E| = 17.
+and contraction code paths.  There are two exceptions.  The per-subset
+overlaps of ``brute_level_coefficients`` come from ``state.signed_sum``
+(checked against per-string counting through ``empty_overlap`` in
+test_state.py), because per-string counting over 2^|E| subsets is too slow
+for |E| = 17.  ``full_lhv_bound`` reads ``lhv._stabilizer_table`` (checked
+against dense generator products through ``brute_lhv_bound`` and
+``brute_bell_expectation`` in test_lhv.py), because evaluating the 8^n
+assignments one at a time in Python is too slow at n = 8.
 """
 
 import itertools
@@ -15,6 +19,7 @@ import json
 import numpy as np
 
 from rgstates import Graph
+from rgstates.lhv import _stabilizer_table
 from rgstates.state import signed_sum
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -201,6 +206,22 @@ def brute_lhv_bound(g):
         values = {"X": table[0::3], "Y": table[1::3], "Z": table[2::3]}
         best = max(best, abs(_assignment_total(elements, values)))
     return best / (1 << g.n)
+
+
+def full_lhv_bound(g):
+    """Max |<B(G)>| over all 8^n assignments, without the a_z = +1 gauge fixing.
+
+    The package's stabilizer table is contracted qubit by qubit with all
+    eight local sign choices, so the result checks only the gauge fixing.
+    """
+    signs, paulis = _stabilizer_table(g)
+    local = np.array([(1, a_x, a_z, a_y) for a_x in (1, -1)
+                      for a_y in (1, -1) for a_z in (1, -1)], dtype=np.float32)
+    values = np.zeros((4,) * g.n, dtype=np.float32)
+    np.add.at(values, tuple(paulis.T), signs)
+    for _ in range(g.n):
+        values = np.tensordot(values, local, axes=(0, 1))
+    return float(max(values.max(), -values.min())) / (1 << g.n)
 
 
 def connected(g):

@@ -98,6 +98,20 @@ def test_density_matrix_symmetry_tolerance():
             DensityMatrix(1, with_offdiagonal(upper, lower))
 
 
+def test_density_matrix_rejects_one_asymmetric_entry():
+    # 256 x 256 spans 4 x 4 tiles: diagonal, upper, lower and corner entries
+    rho = randomize(generate("grid:2x4"), 0.6)
+    for i, j in ((0, 1), (5, 63), (63, 64), (64, 5), (100, 200), (255, 0), (254, 255)):
+        for delta, accepted in ((5e-13, True), (2e-12, False), (np.nan, False)):
+            e = rho.entries.copy()
+            e[i, j] += delta
+            if accepted:
+                DensityMatrix(rho.n, e)
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    DensityMatrix(rho.n, e)
+
+
 def test_bipartition_validation():
     with pytest.raises(ValueError):
         Bipartition(2, 0)

@@ -13,7 +13,7 @@ from rgstates import (Graph, LhvAssignment, SizeLimitError,
                       stabilizer_element, stabilizer_matrix)
 from conftest import graphs
 from oracles import (brute_bell_expectation, brute_lhv_bound, dense_generator,
-                     pauli_decompose)
+                     full_lhv_bound, pauli_decompose, random_graph)
 
 EDGE = Graph(2, ((0, 1),))
 
@@ -106,9 +106,24 @@ def test_lhv_bound_matches_assignment_enumeration(spec):
     assert lhv_bound(g) == pytest.approx(brute_lhv_bound(g), abs=1e-12)
 
 
+def test_gauge_fixed_bound_equals_full_search():
+    rng = np.random.default_rng(2005)
+    graphs_checked = [random_graph(rng, 7, min_n=1) for _ in range(200)]
+    graphs_checked += [generate(f"{f}:8") for f in ("cycle", "path", "star", "complete")]
+    graphs_checked.append(generate("grid:2x4"))
+    for g in graphs_checked:
+        assert lhv_bound(g) == full_lhv_bound(g), g
+
+
+def test_lhv_bound_nine_qubits():
+    # both values agree with the ungauged 8^9 search
+    assert lhv_bound(generate("cycle:9")) == 0.328125
+    assert lhv_bound(generate("star:9")) == 0.53125
+
+
 def test_lhv_bound_cap():
     with pytest.raises(SizeLimitError):
-        lhv_bound(generate("empty:9"))
+        lhv_bound(generate("empty:13"))
 
 
 def test_bell_expectation_lhv_reaches_bound():
