@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache, partial
 from math import isfinite
 from pathlib import Path
@@ -19,26 +18,15 @@ from pathlib import Path
 from .errors import GraphSpecError, SizeLimitError
 from .graph import Graph, min_vertex_cover, parse_graph
 from .density import Bipartition, export_density, negativity, randomize, subgraph_space_dimension
-from .witness import (DEFAULT_THRESHOLD_TOL, gme_threshold, gme_witness_value,
-                      _overlap_at_level)
-from .lhv import lhv_bound, lhv_threshold, lhv_witness_value
+from .witness import (DEFAULT_THRESHOLD_TOL, GME_CONSTANT, gme_threshold,
+                      gme_witness_value, _overlap_at_level)
+from .lhv import lhv_bound, lhv_threshold
 from .sampler import sample_preparation, sample_to_json
 
 QUANTITIES = ("overlap", "gme_witness", "lhv_witness", "negativity", "rank")
 FIG_TARGETS = ("fig4", "fig5", "fig6", "fig7", "fig9")
 MAX_SWEEP_POINTS = 10 ** 6
 MAX_NEGATIVITY_SWEEP_WORK = 10 ** 12  # points x 8^n: 14 points at n = 12
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One (p, value) point of a sweep, with its provenance labels."""
-
-    p: float
-    value: float
-    quantity: str
-    graph_spec: str
-    level: str
 
 
 def _fmt(value):
@@ -149,12 +137,52 @@ def _lhv_bound_for(g: Graph, supplied) -> float:
     return lhv_bound(g)
 
 
+def _value_of(quantity: str, args, g: Graph, points: int):
+    """Parse and admit the inputs of ``quantity`` once; return its p -> value.
+
+    ``points`` is the number of p values the function will be called at; a
+    negativity is refused up front when points x 8^n, one dense eigensolve of
+    a 2^n x 2^n matrix per point, is over ``MAX_NEGATIVITY_SWEEP_WORK``.  A
+    witness value is its constant minus the overlap at the level: 1/2 for
+    ``gme_witness``, D(G) for ``lhv_witness``.
+
+    ``rank`` is exact: 1 at p in {0, 1}, else the pattern count.  rho =
+    2^-n P^T K_U P, with P sending x to its pattern u(x) and K_U the block of
+    K = (x)_e [[1, q], [q, 1]], q = 1 - 2p, on the distinct patterns; K > 0 for
+    0 < p < 1.  The count does not depend on p; it is made at most once, and
+    only when a p in (0, 1) is asked for.
+    """
+    if quantity == "negativity":
+        if args.bipartition is None:
+            raise ValueError("sweep of negativity needs --bipartition")
+        cut = _parse_bipartition(args.bipartition, g.n)
+        work = points * 8 ** g.n
+        if work > MAX_NEGATIVITY_SWEEP_WORK:
+            raise SizeLimitError(
+                f"negativity sweep of {points} points at n={g.n} is estimated at"
+                f" {work:.3g} (points x 8^n); the limit is {MAX_NEGATIVITY_SWEEP_WORK:.0e}")
+        return lambda p: negativity(randomize(g, p), cut)
+    if quantity == "rank":
+        dimension = cache(partial(subgraph_space_dimension, g))
+        return lambda p: dimension() if 0.0 < p < 1.0 else 1
+    level = _parse_level(args.level)
+    if quantity == "overlap":
+        return lambda p: _overlap_at_level(g, p, level)
+    constant = (GME_CONSTANT if quantity == "gme_witness"
+                else _lhv_bound_for(g, args.lhv_bound))
+    return lambda p: constant - _overlap_at_level(g, p, level)
+
+
 # ---------------------------------------------------------------- handlers
 
-def _cmd_overlap(args):
+def _cmd_value(args):
+    """``overlap``, ``negativity`` or ``rank`` at one p."""
     g = _graph_of(args)
     p = _parse_p(args.p)
-    _emit_json({"overlap": _overlap_at_level(g, p, _parse_level(args.level))})
+    value = _value_of(args.command, args, g, 1)
+    if getattr(args, "dump_matrix", None):
+        export_density(randomize(g, p), args.dump_matrix, p=p, graph_spec=args.graph)
+    _emit_json({args.command: value(p)})
     return 0
 
 
@@ -195,37 +223,6 @@ def _cmd_lhv_threshold(args):
     return 0
 
 
-def _cmd_negativity(args):
-    g = _graph_of(args)
-    p = _parse_p(args.p)
-    cut = _parse_bipartition(args.bipartition, g.n)
-    rho = randomize(g, p)
-    if args.dump_matrix:
-        export_density(rho, args.dump_matrix, p=p, graph_spec=args.graph)
-    _emit_json({"negativity": negativity(rho, cut)})
-    return 0
-
-
-def _rank(p: float, dimension) -> int:
-    """Exact rank of the randomized state: 1 at p in {0, 1}, else its pattern count.
-
-    rho = 2^-n P^T K_U P, with P sending x to its pattern u(x) and K_U the block of
-    K = (x)_e [[1, q], [q, 1]], q = 1 - 2p, on the distinct patterns; K > 0 for 0 < p < 1.
-    ``dimension()`` gives the pattern count, which does not depend on p; it is
-    called only for 0 < p < 1.
-    """
-    return dimension() if 0.0 < p < 1.0 else 1
-
-
-def _cmd_rank(args):
-    g = _graph_of(args)
-    p = _parse_p(args.p)
-    if args.dump_matrix:
-        export_density(randomize(g, p), args.dump_matrix, p=p, graph_spec=args.graph)
-    _emit_json({"rank": _rank(p, partial(subgraph_space_dimension, g))})
-    return 0
-
-
 def _cmd_dim(args):
     _emit_json({"dim": subgraph_space_dimension(_graph_of(args))})
     return 0
@@ -245,53 +242,19 @@ def _cmd_sample(args):
     return 0
 
 
-def _sweep_value(quantity, g, p, level, cut, d, dimension):
-    if quantity == "overlap":
-        return _overlap_at_level(g, p, level)
-    if quantity == "gme_witness":
-        return gme_witness_value(g, p, level).witness_value
-    if quantity == "lhv_witness":
-        return lhv_witness_value(g, p, level, d).witness_value
-    if quantity == "negativity":
-        return negativity(randomize(g, p), cut)
-    return _rank(p, dimension)
-
-
 def _cmd_sweep(args):
     g = _graph_of(args)
-    level = _parse_level(args.level)
+    level = str(_parse_level(args.level))
     grid = _parse_grid(args.p_grid)
-    cut = None
-    if args.quantity == "negativity":
-        if not args.bipartition:
-            raise ValueError("sweep of negativity needs --bipartition")
-        cut = _parse_bipartition(args.bipartition, g.n)
-        # each point is one eigensolve, at most dense: 8^n for a 2^n x 2^n matrix
-        work = len(grid) * 8 ** g.n
-        if work > MAX_NEGATIVITY_SWEEP_WORK:
-            raise SizeLimitError(
-                f"negativity sweep of {len(grid)} points at n={g.n} is estimated at"
-                f" {work:.3g} (points x 8^n); the limit is {MAX_NEGATIVITY_SWEEP_WORK:.0e}")
-    d = _lhv_bound_for(g, args.lhv_bound) if args.quantity == "lhv_witness" else None
-    dimension = cache(partial(subgraph_space_dimension, g))  # one count per sweep
-    records = [
-        SweepRecord(p=p,
-                    value=_sweep_value(args.quantity, g, p, level, cut, d, dimension),
-                    quantity=args.quantity, graph_spec=args.graph, level=str(level))
-        for p in grid
-    ]
+    value = _value_of(args.quantity, args, g, len(grid))
+    points = [(p, value(p)) for p in grid]
     if args.out == "csv":
         print("p,value")
-        for rec in records:
-            print(f"{rec.p:.12g},{_value_text(rec.value)}")
+        for p, v in points:
+            print(f"{p:.12g},{_value_text(v)}")
     else:
-        print(json.dumps([{
-            "p": _fmt(rec.p),
-            "value": _fmt(rec.value),
-            "quantity": rec.quantity,
-            "graph_spec": rec.graph_spec,
-            "level": rec.level,
-        } for rec in records]))
+        print(json.dumps([{"p": _fmt(p), "value": _fmt(v), "quantity": args.quantity,
+                           "graph_spec": args.graph, "level": level} for p, v in points]))
     return 0
 
 
@@ -372,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("overlap", help="randomization overlap at one p")
     _add_common(sub, p=True, level="exact")
-    sub.set_defaults(handler=_cmd_overlap)
+    sub.set_defaults(handler=_cmd_value)
 
     sub = commands.add_parser("witness", help="GME witness value at one p")
     _add_common(sub, p=True, level="exact")
@@ -397,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--bipartition", required=True, help="e.g. 0,1|2,3")
     sub.add_argument("--dump-matrix", default=None,
                      help="write the density matrix to BASE.csv/BASE.json")
-    sub.set_defaults(handler=_cmd_negativity)
+    sub.set_defaults(handler=_cmd_value)
 
     sub = commands.add_parser("rank", help="exact rank of the randomized state")
     _add_common(sub, p=True)
     sub.add_argument("--dump-matrix", default=None,
                      help="write the density matrix to BASE.csv/BASE.json")
-    sub.set_defaults(handler=_cmd_rank)
+    sub.set_defaults(handler=_cmd_value)
 
     sub = commands.add_parser("dim", help="dimension of the subgraph state space")
     _add_common(sub)

@@ -231,10 +231,7 @@ def numerical_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     evals, _ = _merged_spectrum(rho.entries)
-    top = float(evals[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(evals > tol * top))
+    return int(np.count_nonzero(evals > tol * float(evals[-1])))
 
 
 def subgraph_space_dimension(g: Graph) -> int:

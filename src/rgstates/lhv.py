@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .graph import Graph
-from .witness import (DEFAULT_BRACKET, DEFAULT_THRESHOLD_TOL, WitnessEvaluation,
-                      _check_tol, _overlap_at_level, _witness_evaluation,
-                      find_threshold)
+from .witness import (DEFAULT_THRESHOLD_TOL, WitnessEvaluation, _check_tol,
+                      _overlap_at_level, _witness_evaluation, find_threshold)
 
 MAX_BELL_QUBITS = 10
 MAX_LHV_QUBITS = 12
@@ -175,15 +174,14 @@ def lhv_witness_value(g: Graph, p: float, level, d: float,
 
 
 def lhv_threshold(g: Graph, level=2, d: float | None = None,
-                  tol: float = DEFAULT_THRESHOLD_TOL, bracket=DEFAULT_BRACKET):
+                  tol: float = DEFAULT_THRESHOLD_TOL):
     """Randomness threshold above which the LHV witness turns negative.
 
     ``d`` defaults to the exact classical bound; None when the witness
-    has no zero crossing on the bracket.
+    has no zero crossing on [1/2, 1].
     """
     _check_tol(tol)  # before the 4^n bound search
     bound = lhv_bound(g) if d is None else d
     if not 0.0 < bound <= 1.0:
         raise ValueError(f"classical bound must be in (0, 1], got {bound}")
-    return find_threshold(lambda p: bound - _overlap_at_level(g, p, level),
-                          bracket=bracket, tol=tol)
+    return find_threshold(lambda p: bound - _overlap_at_level(g, p, level), tol=tol)

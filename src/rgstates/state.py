@@ -2,9 +2,10 @@
 
 A graph state's computational-basis amplitudes are all +-2^(-n/2), with sign
 (-1)^|u(x)|, where the excitation pattern u(x) is the set of edges with both
-endpoints set in x.  The kernels every module builds on live here: the u(x)
-array, the exact signed sum over x by F2 variable elimination (so overlaps
-are exact dyadic rationals), and the Walsh-Hadamard transform.
+endpoints set in x.  The F2 kernels live here: the u(x) array, the exact
+signed sum over x by F2 variable elimination (so overlaps are exact dyadic
+rationals), and the Walsh-Hadamard transform, which only
+``density.subgraph_mixture`` uses (for the character table of a mixture).
 """
 
 from __future__ import annotations

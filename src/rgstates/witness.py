@@ -386,8 +386,6 @@ def find_threshold(f, bracket=DEFAULT_BRACKET, tol: float = DEFAULT_THRESHOLD_TO
     return 0.5 * (lo + hi)
 
 
-def gme_threshold(g: Graph, level="exact", tol: float = DEFAULT_THRESHOLD_TOL,
-                  bracket=DEFAULT_BRACKET):
+def gme_threshold(g: Graph, level="exact", tol: float = DEFAULT_THRESHOLD_TOL):
     """Randomness threshold above which the (possibly truncated) witness is negative."""
-    return find_threshold(lambda p: GME_CONSTANT - _overlap_at_level(g, p, level),
-                          bracket=bracket, tol=tol)
+    return find_threshold(lambda p: GME_CONSTANT - _overlap_at_level(g, p, level), tol=tol)

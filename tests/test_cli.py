@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import brute_subgraph_dimension, random_graph
-from rgstates import cli, sampler, serialize_graph, subgraph_space_dimension
+from rgstates import (cli, lhv_bound, lhv_witness_value, parse_graph, sampler,
+                      serialize_graph, subgraph_space_dimension)
 from rgstates.cli import main
 
 
@@ -172,6 +173,44 @@ def test_sweep_rank_and_lhv(capsys):
     assert values[0] > 0.0 and values[-1] < 0.0
 
 
+def test_one_point_sweep_matches_single_value_commands(capsys):
+    def swept(quantity, *extra):
+        code, out, _ = run(capsys, "sweep", "--graph", "grid:2x3", "--quantity", quantity,
+                           "--p-grid", "0.7:0.7:0.1", "--out", "json", *extra)
+        assert code == 0
+        [record] = json.loads(out)
+        return record["value"]
+
+    def single(command, key, *extra):
+        code, out, _ = run(capsys, command, "--graph", "grid:2x3", "--p", "0.7", *extra)
+        assert code == 0
+        return json.loads(out)[key]
+
+    cut = ("--bipartition", "0,1,2|3,4,5")
+    assert swept("overlap", "--level", "2") == single("overlap", "overlap", "--level", "2")
+    assert swept("negativity", *cut) == single("negativity", "negativity", *cut)
+    g = parse_graph("grid:2x3")
+    assert swept("rank") == single("rank", "rank") == brute_subgraph_dimension(g)
+    witness = single("witness", "witness", "--level", "3")
+    assert swept("gme_witness", "--level", "3") == witness
+    # D(G) supplied as 1/2 makes the LHV witness the GME one
+    assert swept("lhv_witness", "--level", "3", "--lhv-bound", "0.5") == witness
+    value = lhv_witness_value(g, 0.7, 3, lhv_bound(g)).witness_value
+    assert swept("lhv_witness", "--level", "3") == float(f"{value:.12g}")
+
+
+def test_negativity_dump_matrix_matches_rank_dump(capsys, tmp_path):
+    args = ("--graph", "cycle:4", "--p", "0.35")
+    cut = ("--bipartition", "0,1|2,3")
+    plain = run(capsys, "negativity", *args, *cut)
+    dumped = run(capsys, "negativity", *args, *cut, "--dump-matrix", str(tmp_path / "neg"))
+    assert dumped == plain and plain[0] == 0
+    assert run(capsys, "rank", *args, "--dump-matrix", str(tmp_path / "rank"))[0] == 0
+    for ext in ("csv", "json"):
+        assert ((tmp_path / f"neg.{ext}").read_bytes()
+                == (tmp_path / f"rank.{ext}").read_bytes())
+
+
 def test_negativity_subcommand(capsys):
     code, out, _ = run(capsys, "negativity", "--graph", "complete:3",
                        "--p", "1", "--bipartition", "0|1,2")
@@ -180,11 +219,11 @@ def test_negativity_subcommand(capsys):
 
 
 def test_negativity_rejects_bad_bipartition(capsys):
-    for bad in ("0|1", "0,1|1,2", "0;1", "0,9|1,2"):
-        code, _, err = run(capsys, "negativity", "--graph", "complete:3",
-                           "--p", "0.5", "--bipartition", bad)
-        assert code == 2, bad
-        assert err
+    for bad in ("0|1", "0,1|1,2", "0;1", "0,9|1,2", "0,0|1,2"):
+        code, out, err = run(capsys, "negativity", "--graph", "complete:3",
+                             "--p", "0.5", "--bipartition", bad)
+        assert (code, out) == (2, ""), bad
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), bad
 
 
 def test_dim_cover_lhv_bound(capsys):
@@ -282,6 +321,19 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "not-a-command")[0] == 2
     assert run(capsys, "sweep", "--graph", "path:3", "--quantity", "overlap",
                "--p-grid", "0.9:0.1:0.1")[0] == 2
+    sweep = ("sweep", "--graph", "path:3", "--quantity", "overlap")
+    for argv, message in (
+            (("overlap", "--graph", "path:3", "--p", "0.5", "--level", "abc"),
+             "level must be 'exact' or an integer, got 'abc'"),
+            ((*sweep, "--p-grid", "0:1:0.5", "--level", "-1"),
+             "level must be nonnegative, got -1"),
+            ((*sweep, "--p-grid", "0:1"), "p-grid must be START:STOP:STEP, got '0:1'"),
+            ((*sweep, "--p-grid", "a:b:c"), "non-numeric p-grid 'a:b:c'"),
+            (("lhv-threshold", "--graph", "star:3", "--lhv-bound", "0"),
+             "--lhv-bound must be in (0, 1], got 0.0"),
+            (("lhv-threshold", "--graph", "star:3", "--lhv-bound", "1.5"),
+             "--lhv-bound must be in (0, 1], got 1.5")):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_size_cap_exits_1(capsys):
@@ -397,7 +449,7 @@ def test_sweep_rejects_non_finite_step(capsys, step):
 def test_sweep_refuses_too_many_points(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("a value was computed")
-    monkeypatch.setattr(cli, "_sweep_value", unreachable)
+    monkeypatch.setattr(cli, "_value_of", unreachable)
     code, out, err = run(capsys, "sweep", "--graph", "star:3", "--quantity", "overlap",
                          "--p-grid", "0:1:1e-300")
     assert (code, out) == (1, "")

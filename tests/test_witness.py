@@ -231,6 +231,17 @@ def test_find_threshold_no_crossing():
         find_threshold(lambda p: p, bracket=(0.9, 0.5))
 
 
+def test_find_threshold_returns_an_exact_zero_midpoint():
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return 0.75 - p
+    # the first midpoint of [1/2, 1] is a root: returned as is, no further bisection
+    assert find_threshold(f) == 0.75
+    assert calls == [0.5, 1.0, 0.75]
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
 def test_find_threshold_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tolerance"):
