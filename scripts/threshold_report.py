@@ -3,7 +3,9 @@
 
 The first table covers stars, paths and cycles up to ``--max-n`` vertices.
 The second gives the exact p_w of the 2D cluster states grid:2x2 to grid:6x6
-next to their level-2 p_F.
+next to their level-2 p_F.  The third gives p_F at levels 2, 3 and 4 on
+grid:LxL for L = 8 to 100: the level-3 and level-4 corrections to the
+level-2 thresholds of the 2D cluster states.
 
 Usage: python scripts/threshold_report.py [--max-n 8]
 """
@@ -14,8 +16,8 @@ from rgstates import generate, gme_threshold, lhv_bound, lhv_threshold
 from rgstates.lhv import MAX_LHV_QUBITS
 
 
-def fmt(value):
-    return f"{value:.6f}" if value is not None else "   none"
+def fmt(value, digits=6):
+    return f"{value:.{digits}f}" if value is not None else "   none"
 
 
 def main():
@@ -44,6 +46,14 @@ def main():
             g = generate(spec)
             print(f"{spec:>10}  {fmt(gme_threshold(g)):>8}"
                   f"  {fmt(gme_threshold(g, level=2)):>8}")
+
+    print()
+    print(f"{'graph':>12}  {'p_F(2)':>11}  {'p_F(3)':>11}  {'p_F(4)':>11}")
+    for side in (8, 10, 20, 50, 100):
+        spec = f"grid:{side}x{side}"
+        g = generate(spec)
+        print(f"{spec:>12}  " + "  ".join(
+            f"{fmt(gme_threshold(g, level=level), 9):>11}" for level in (2, 3, 4)))
 
 
 if __name__ == "__main__":

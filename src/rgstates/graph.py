@@ -166,6 +166,63 @@ def class_counts(g: Graph) -> tuple[int, int, int]:
     return m1, m2_star, m2_disjoint
 
 
+def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:
+    """Connected edge sets of ``g`` with at most ``max_edges`` <= 4 edges, by type.
+
+    The types are K2, P3 (two edges), P4, K1,3, K3 (three), P5, chair, K1,4,
+    C4 and paw (four); a type with more than ``max_edges`` edges is left
+    out.  Each count is a closed formula in the degrees d_v, the triangles
+    t_v at each vertex (from the common neighbours of each edge's ends) and,
+    for C4, the common neighbours c_uw of every pair u, w two steps apart:
+    C4 = sum_(u<w) C(c_uw, 2) / 2.  The work is about sum_v d_v neighbour
+    popcounts up to three edges and sum_v d_v^2 at four.
+    """
+    m1, m2_star, _ = class_counts(g)
+    counts = {"K2": m1, "P3": m2_star}
+    if max_edges < 3:
+        return counts
+    adj, deg = g.adjacency, g.degrees()
+    twice_t = [0] * g.n  # 2 t_v: common neighbours summed over the edges at v
+    p4 = chair = 0
+    arms, arms_sq = [0] * g.n, [0] * g.n  # sum and square sum of d_b - 1, b ~ v
+    for u, v in g.edges:
+        common = (adj[u] & adj[v]).bit_count()
+        twice_t[u] += common
+        twice_t[v] += common
+        du, dv = deg[u] - 1, deg[v] - 1
+        p4 += du * dv
+        chair += comb(du, 2) * dv + comb(dv, 2) * du
+        arms[u] += dv
+        arms[v] += du
+        arms_sq[u] += dv * dv
+        arms_sq[v] += du * du
+    triangles = sum(twice_t) // 6
+    counts.update({"P4": p4 - 3 * triangles, "K1,3": sum(comb(d, 3) for d in deg),
+                   "K3": triangles})
+    if max_edges < 4:
+        return counts
+    neighbours = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    twice_c4 = 0
+    for u in range(g.n):
+        reach = set()
+        for x in neighbours[u]:
+            reach.update(neighbours[x])
+        for w in reach:
+            if w > u:
+                common = (adj[u] & adj[w]).bit_count()
+                twice_c4 += common * (common - 1) // 2
+    c4 = twice_c4 // 2
+    paw = sum(t * (d - 2) for t, d in zip(twice_t, deg)) // 2
+    p5 = (sum((s * s - q) // 2 for s, q in zip(arms, arms_sq))
+          - sum(t * d for t, d in zip(twice_t, deg)) + 9 * triangles - 4 * c4)
+    counts.update({"P5": p5, "chair": chair - 2 * paw,
+                   "K1,4": sum(comb(d, 4) for d in deg), "C4": c4, "paw": paw})
+    return counts
+
+
 def min_vertex_cover(g: Graph) -> int:
     """Size of a minimum vertex cover, by exact branch and bound.
 

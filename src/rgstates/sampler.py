@@ -72,8 +72,9 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     # dropped shots and appends its kept ones as a child.  ``several`` lists
     # the prefixes of more than one shot in ascending order.
     # Per edge, only arrays of one entry per live or multi-shot prefix are
-    # held: the uniforms and the edge bit go in blocks, and a refusal comes
-    # before the children are gathered.
+    # held: the uniforms, the binomials and the edge bit go in blocks, and a
+    # child is written straight into the arrays.  Past the cap, the children
+    # are only counted, so a refusal names the size the edge needed.
     rng = np.random.default_rng(seed)
     masks = np.zeros(1, dtype=np.int64)
     tallies = np.array([shots], dtype=np.int64)
@@ -83,28 +84,33 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
         keep = np.empty(live, dtype=bool)  # decides the single-shot prefixes
         for a in range(0, live, _DRAW_BLOCK):
             np.less(rng.random(min(_DRAW_BLOCK, live - a)), p, out=keep[a:a + _DRAW_BLOCK])
-        kept = rng.binomial(tallies[several], p)
-        whole = kept == tallies[several]
-        keep[several] = whole
-        for a in range(0, live, _DRAW_BLOCK):
-            masks[a:min(a + _DRAW_BLOCK, live)] |= keep[a:a + _DRAW_BLOCK] * (1 << k)
-        split = (kept > 0) & ~whole
-        grown = live + int(np.count_nonzero(split))
+        grown = live
+        for a in range(0, len(several), _DRAW_BLOCK):
+            block = several[a:a + _DRAW_BLOCK].copy()  # no view outlives ``several``
+            held = tallies[block]
+            kept = rng.binomial(held, p)
+            whole = kept == held
+            keep[block] = whole
+            split = (kept > 0) & ~whole
+            parents, children = block[split], kept[split]
+            end = grown + len(parents)
+            if end <= MAX_SAMPLE_PATTERNS:
+                if end > len(masks):
+                    size = min(max(2 * len(masks), end), MAX_SAMPLE_PATTERNS)
+                    masks = _regrown(masks, grown, size)
+                    tallies = _regrown(tallies, grown, size)
+                tallies[parents] -= children
+                masks[grown:end] = masks[parents] | (1 << k)
+                tallies[grown:end] = children
+            grown = end
         if grown > MAX_SAMPLE_PATTERNS:
             raise SizeLimitError(
                 f"sampling capped at {MAX_SAMPLE_PATTERNS} distinct mask prefixes;"
                 f" edge {k + 1} of {e} needs {grown}")
-        parents = several[split]
-        children = kept[split]
-        tallies[parents] -= children
-        if grown > len(masks):
-            size = min(max(2 * len(masks), grown), MAX_SAMPLE_PATTERNS)
-            masks = _regrown(masks, live, size)
-            tallies = _regrown(tallies, live, size)
-        masks[live:grown] = masks[parents] | (1 << k)
-        tallies[live:grown] = children
+        for a in range(0, live, _DRAW_BLOCK):
+            masks[a:min(a + _DRAW_BLOCK, live)] |= keep[a:a + _DRAW_BLOCK] * (1 << k)
         live = grown
-        del keep, kept, whole, split, parents, children  # before ``several`` is rebuilt
+        del keep, several  # before ``several`` is rebuilt
         several = np.flatnonzero(tallies[:live] > 1)
     order = np.argsort(masks[:live])
     masks, tallies = masks[order], tallies[order]

@@ -7,18 +7,34 @@ K(sigma, tau) = (-1)^(x_sigma x_tau + y_sigma y_tau),
 
     sum_R t^|R| <G|G-R>^2 = 4^-n sum_sigma prod_(i,j) (1 + t K(sigma_i, sigma_j)),
 
-a 4-state pairwise model on G.  ``_level_coefficients`` contracts it in one
-sweep over a greedy vertex order, carrying one float64 tensor with a size-4
+a 4-state pairwise model on G.  ``_level_coefficients`` takes one of two
+paths, by level alone.
+
+Levels up to ``MAX_CLUSTER_LEVEL`` = 4 come from ``_cluster_coefficients``,
+the linked-cluster identity.  f(R) = <G|G-R>^2 depends only on R as a
+graph and is multiplicative over vertex-disjoint parts, so with Z_G(t) the
+sum above, log Z_G = sum_U W(U) over the connected edge sets U, where
+W(U) = sum_(U' in U) (-1)^|U - U'| log Z_U' is O(t^|U|) and depends only on
+the type of U.  Up to t^4 only ten types occur; their counts come from
+closed formulas in degrees, triangles and common neighbours
+(``graph.cluster_counts``), and S_r is [t^r] exp(sum_T N_T W_T), summed in
+exact integers and rounded once.  The cost follows sum_v d_v (sum_v d_v^2
+at level 4), not the frontier width; it is refused over
+``MAX_CLUSTER_WORK``.
+
+Higher levels, and so the exact polynomial of any graph of more than four
+edges, come from ``_contraction_coefficients``: one sweep over a greedy
+vertex order, carrying one float64 tensor with a size-4
 axis per frontier vertex (introduced, with an unintroduced neighbour) and
 one axis for t^1..t^level; t^0 is identically 1.  Edges fold in as in-place
 shift-adds, a vertex is summed out with a factor 1/4 after its last
 neighbour, and a vertex whose last neighbour is the one being introduced
 hands its axis over, so the tensor does not widen.  The cost follows the
 widest frontier w, not 2^|E|.  Before the sweep, an input is refused when
-its 4^w x level entries exceed ``MAX_CONTRACTION_ENTRIES`` (memory), its
+its 4^w x level entries exceed ``MAX_CONTRACTION_ENTRIES`` (memory) or its
 |E| x level x (4^w + ``PASS_ENTRIES``) entry updates exceed
-``MAX_CONTRACTION_WORK`` (time), or its coefficients, up to C(|E|, r),
-could leave the float64 range.
+``MAX_CONTRACTION_WORK`` (time).  On either path, a level is refused when
+its coefficients, up to C(|E|, r), could leave the float64 range.
 No density matrices are ever materialized here.
 """
 
@@ -27,20 +43,39 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isfinite, sqrt
+from math import comb, factorial, isfinite, perm, sqrt
 
 import numpy as np
 
 from .errors import SizeLimitError
-from .graph import Graph, class_counts, serialize_graph
+from .graph import Graph, class_counts, cluster_counts, serialize_graph
 
 MAX_CONTRACTION_ENTRIES = 2 ** 24  # float64 entries of the widest tensor
 MAX_CONTRACTION_WORK = 2 ** 30  # entry updates of one sweep
 PASS_ENTRIES = 1024  # fixed cost of one numpy pass, in entry updates
+MAX_CLUSTER_LEVEL = 4  # highest level summed from connected-type counts
+MAX_CLUSTER_WORK = 2 ** 24  # neighbour popcounts of one count
 DEFAULT_BRACKET = (0.5, 1.0)
 DEFAULT_THRESHOLD_TOL = 1e-9
 
 GME_CONSTANT = 0.5  # identity coefficient of the projector witness
+
+# Linked-cluster weights W_T(t) = sum_(U' in T) (-1)^|T - U'| log Z_U'(t) of
+# the connected types T, as numerators over _WEIGHT_DENOMINATOR of their
+# t^1..t^4 coefficients; W_T starts at t^|T|.
+_WEIGHT_DENOMINATOR = 3072
+_CLUSTER_WEIGHTS = {
+    "K2": (768, -96, 16, -3),
+    "P3": (0, 576, -288, 54),
+    "P4": (0, 0, -144, 0),
+    "K1,3": (0, 0, 288, -540),
+    "K3": (0, 0, -480, 36),
+    "P5": (0, 0, 0, 36),
+    "chair": (0, 0, 0, -72),
+    "K1,4": (0, 0, 0, -72),
+    "C4": (0, 0, 0, 540),
+    "paw": (0, 0, 0, -96),
+}
 
 
 @dataclass(frozen=True)
@@ -180,25 +215,31 @@ def _replace_axis(poly, a: int):
     poly *= 0.25
 
 
-def _admitted_plan(g: Graph, level: int):
-    """Steps of the sweep to t^level, refused if out of range, memory or time.
+def _check_range(g: Graph, level: int):
+    """Refuse a level whose S_r, up to C(|E|, r), could leave the float64 range.
 
-    Every tensor entry at t^r stays within 4 C(|E|, r), and S_r within
-    C(|E|, r); a level at which that bound leaves the float64 range is
-    refused before the order is planned.  The widest tensor holds 4^w x
-    level float64 entries.  Every edge is folded in by about ``level``
-    passes over at most 4^w entries each, and a pass has a fixed cost of
-    about ``PASS_ENTRIES`` entry updates, so a sweep makes about
-    |E| x level x (4^w + PASS_ENTRIES) of them.  Both limits give a widest
-    admitted w, and planning stops as soon as the frontier grows past it,
-    so a refusal reports the first width that failed, not the order's full
-    width.
+    Every contraction tensor entry at t^r stays within 4 C(|E|, r).
     """
     top = min(level, g.edge_count // 2)
     if 4 * comb(g.edge_count, top) > sys.float_info.max:
         raise SizeLimitError(
             f"overlap coefficients up to C({g.edge_count}, {top}) overflow float64"
             f" at level {level}")
+
+
+def _admitted_plan(g: Graph, level: int):
+    """Steps of the sweep to t^level, refused if out of range, memory or time.
+
+    The range is checked before the order is planned.  The widest tensor
+    holds 4^w x level float64 entries.  Every edge is folded in by about
+    ``level`` passes over at most 4^w entries each, and a pass has a fixed
+    cost of about ``PASS_ENTRIES`` entry updates, so a sweep makes about
+    |E| x level x (4^w + PASS_ENTRIES) of them.  Both limits give a widest
+    admitted w, and planning stops as soon as the frontier grows past it,
+    so a refusal reports the first width that failed, not the order's full
+    width.
+    """
+    _check_range(g, level)
 
     def entries(w):
         return 4 ** w * level
@@ -224,13 +265,51 @@ def _admitted_plan(g: Graph, level: int):
         f" width {width}; the limit is {MAX_CONTRACTION_WORK}")
 
 
+def _cluster_coefficients(g: Graph, level: int) -> tuple[float, ...]:
+    """S_r for r = 0..level <= 4, from the counts of connected edge sets.
+
+    S_r = [t^r] exp(sum_T N_T W_T(t)) over the connected types T of at most
+    ``level`` edges, with the counts N_T of ``cluster_counts`` and the
+    weights of ``_CLUSTER_WEIGHTS``.  With a_k = A_k / D the t^k coefficient
+    of the sum, exp obeys r S_r = sum_k k a_k S_(r-k), so s_r = S_r D^r r!
+    is the integer sum_k k A_k D^(k-1) (r-1)!/(r-k)! s_(r-k), and one int
+    true division rounds S_r to float64 correctly.  Refused when the
+    counts' neighbour popcounts, sum_v d_v (sum_v d_v^2 at level 4), are
+    over ``MAX_CLUSTER_WORK``.
+    """
+    _check_range(g, level)
+    work = sum(d * d if level >= 4 else d for d in g.degrees())
+    if work > MAX_CLUSTER_WORK:
+        raise SizeLimitError(
+            f"level-{level} cluster counts need about {work} neighbour popcounts;"
+            f" the limit is {MAX_CLUSTER_WORK}")
+    counts = cluster_counts(g, level)
+    logs = [sum(n * _CLUSTER_WEIGHTS[name][k] for name, n in counts.items())
+            for k in range(level)]
+    s = [1]
+    for r in range(1, level + 1):
+        s.append(sum(k * logs[k - 1] * _WEIGHT_DENOMINATOR ** (k - 1) * perm(r - 1, k - 1)
+                     * s[r - k] for k in range(1, r + 1)))
+    return tuple(s_r / (_WEIGHT_DENOMINATOR ** r * factorial(r)) for r, s_r in enumerate(s))
+
+
 @lru_cache(maxsize=256)
 def _level_coefficients(g: Graph, level: int) -> tuple[float, ...]:
     """S_r for r = 0..level: sums of squared overlaps over r removed edges.
 
-    One sweep of the frontier contraction of
-    4^-n sum_sigma prod_(i,j) (1 + t K(sigma_i, sigma_j)) truncated at t^level;
-    the t^r coefficient is S_r.
+    Up to level ``MAX_CLUSTER_LEVEL`` from the cluster counts, above it from
+    the frontier contraction.
+    """
+    if level <= MAX_CLUSTER_LEVEL:
+        return _cluster_coefficients(g, level)
+    return _contraction_coefficients(g, level)
+
+
+def _contraction_coefficients(g: Graph, level: int) -> tuple[float, ...]:
+    """S_r for r = 0..level from one sweep of the frontier contraction.
+
+    The sweep contracts 4^-n sum_sigma prod_(i,j) (1 + t K(sigma_i, sigma_j))
+    truncated at t^level; the t^r coefficient is S_r.
     """
     if level == 0:
         return (1.0,)

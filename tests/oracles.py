@@ -275,3 +275,44 @@ def dict_sample_json(counts, *, shots, seed, graph_spec, p):
     return json.dumps({"graph_spec": graph_spec, "p": p, "shots": shots, "seed": seed,
                        "counts": {hex(bits): c for bits, c in counts.items()}},
                       separators=(",", ":"))
+
+
+# (vertex count, sorted degrees) of a connected edge set -> its type, up to four edges
+CLUSTER_TYPE_KEYS = {
+    (2, (1, 1)): "K2", (3, (1, 1, 2)): "P3", (3, (2, 2, 2)): "K3",
+    (4, (1, 1, 2, 2)): "P4", (4, (1, 1, 1, 3)): "K1,3", (4, (2, 2, 2, 2)): "C4",
+    (4, (1, 2, 2, 3)): "paw", (5, (1, 1, 2, 2, 2)): "P5", (5, (1, 1, 1, 2, 3)): "chair",
+    (5, (1, 1, 1, 1, 4)): "K1,4",
+}
+
+# one edge set of each type
+CLUSTER_TYPE_EDGES = {
+    "K2": [(0, 1)], "P3": [(0, 1), (1, 2)], "P4": [(0, 1), (1, 2), (2, 3)],
+    "K1,3": [(0, 1), (0, 2), (0, 3)], "K3": [(0, 1), (1, 2), (0, 2)],
+    "P5": [(0, 1), (1, 2), (2, 3), (3, 4)], "chair": [(0, 1), (0, 2), (0, 3), (3, 4)],
+    "K1,4": [(0, 1), (0, 2), (0, 3), (0, 4)], "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "paw": [(0, 1), (1, 2), (0, 2), (2, 3)],
+}
+
+
+def brute_type_counts(g, max_edges=4):
+    """Connected edge subsets of at most ``max_edges`` <= 4 edges, by type.
+
+    Every subset is enumerated; a connected one is keyed by its vertex count
+    and sorted degree sequence, which tells the ten types apart up to four
+    edges.
+    """
+    counts = {}
+    for size in range(1, max_edges + 1):
+        for sub in itertools.combinations(g.edges, size):
+            degree = {}
+            for i, j in sub:
+                degree[i] = degree.get(i, 0) + 1
+                degree[j] = degree.get(j, 0) + 1
+            verts = sorted(degree)
+            index = {v: k for k, v in enumerate(verts)}
+            part = Graph(len(verts), tuple((index[i], index[j]) for i, j in sub))
+            if connected(part):
+                name = CLUSTER_TYPE_KEYS[(len(verts), tuple(sorted(degree.values())))]
+                counts[name] = counts.get(name, 0) + 1
+    return counts

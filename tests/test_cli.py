@@ -1,12 +1,13 @@
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import brute_subgraph_dimension, random_graph
-from rgstates import (cli, lhv_bound, lhv_witness_value, parse_graph, sampler,
-                      serialize_graph, subgraph_space_dimension)
+from rgstates import (cli, find_threshold, lhv_bound, lhv_witness_value, parse_graph,
+                      sampler, serialize_graph, subgraph_space_dimension, witness)
 from rgstates.cli import main
 
 
@@ -343,24 +344,62 @@ def test_size_cap_exits_1(capsys):
 
 
 def test_contraction_estimate_refuses_wide_graph(capsys):
-    code, out, err = run(capsys, "threshold", "--graph", "complete:14", "--level", "3")
+    # levels up to 4 come from cluster counts; level 5 takes the contraction
+    code, out, err = run(capsys, "threshold", "--graph", "complete:14", "--level", "5")
     assert (code, out) == (1, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    # planning stops at width 11, the first width over the work limit at level 3
-    assert "frontier width 11" in err and "Traceback" not in err
+    # planning stops at width 11, the first width over the memory limit at level 5
+    assert "float64 entries" in err and "frontier width 11" in err and "Traceback" not in err
 
 
 def test_contraction_plan_refuses_before_it_completes(capsys):
     # the full greedy plan of grid:100x100 reaches width 100 and took seconds
     start = time.perf_counter()
-    code, out, err = run(capsys, "threshold", "--graph", "grid:100x100", "--level", "3")
+    code, out, err = run(capsys, "threshold", "--graph", "grid:100x100", "--level", "5")
     elapsed = time.perf_counter() - start
     assert (code, out) == (1, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "entry updates at frontier width 8" in err
+    assert "entry updates at frontier width 7" in err
     assert elapsed < 0.5
+
+
+def interpolated(points, x):
+    """Exact value at x of the polynomial through ``points``, by Lagrange's formula."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("family, sizes, size", [
+    ("grid:{0}x{0}", range(3, 10), 100), ("complete:{0}", range(4, 11), 14)])
+def test_level3_thresholds_past_the_contraction_finish(capsys, family, sizes, size):
+    # S_0..S_3 of these families are polynomials of degree <= 6 in the size
+    # (grids from 3x3 on): seven contractions on small members give them exactly
+    rows = [(m, witness._contraction_coefficients(parse_graph(family.format(m)), 3))
+            for m in sizes]
+    coeffs = [float(interpolated([(m, Fraction(c[r])) for m, c in rows], size))
+              for r in range(4)]
+    g = parse_graph(family.format(size))
+    assert witness._level_coefficients(g, 3) == tuple(coeffs)
+    expected = find_threshold(lambda p: 0.5 - sum(
+        c * p ** (g.edge_count - r) * (1 - p) ** r for r, c in enumerate(coeffs)))
+    code, out, err = run(capsys, "threshold", "--graph", family.format(size), "--level", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"p_F": float(f"{expected:.12g}")}
+
+
+def test_dense_level4_refused_by_its_count_estimate(capsys):
+    code, out, err = run(capsys, "threshold", "--graph", "complete:400", "--level", "4")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and "63680400 neighbour popcounts" in err
 
 
 def test_overlap_refuses_coefficients_past_float64(capsys):

@@ -7,8 +7,10 @@ from hypothesis import given
 from rgstates import (Graph, GraphSpecError, SizeLimitError,
                       class_counts, generate, min_vertex_cover, parse_graph,
                       serialize_graph, subgraph_from_mask, symmetric_difference)
+from rgstates.graph import cluster_counts
 from conftest import graphs
-from oracles import brute_class_counts, brute_min_vertex_cover, random_graph
+from oracles import (CLUSTER_TYPE_EDGES, brute_class_counts, brute_min_vertex_cover,
+                     brute_type_counts, random_graph)
 
 
 def test_generate_complete_3():
@@ -128,6 +130,29 @@ def test_class_counts_exhaustive_up_to_5_vertices():
         for bits in range(1 << len(all_edges)):
             g = Graph(n, tuple(e for k, e in enumerate(all_edges) if (bits >> k) & 1))
             assert class_counts(g) == brute_class_counts(g)
+
+
+def test_cluster_counts_match_enumeration():
+    rng = np.random.default_rng(53)
+    specs = ("grid:4x4", "grid3:2x2x3", "complete:7", "cycle:4", "star:6", "path:5", "empty:3")
+    cases = [generate(spec) for spec in specs] + [random_graph(rng, 9) for _ in range(60)]
+    for g in cases:
+        brute = brute_type_counts(g)
+        for max_edges in (2, 3, 4):
+            assert cluster_counts(g, max_edges) == {
+                name: brute.get(name, 0) for name, edges in CLUSTER_TYPE_EDGES.items()
+                if len(edges) <= max_edges}, (g, max_edges)
+
+
+def test_cluster_counts_examples():
+    # each type holds itself once; complete:4 and the 100x100 grid counted by hand
+    for name, edges in CLUSTER_TYPE_EDGES.items():
+        g = Graph(1 + max(max(e) for e in edges), tuple(edges))
+        assert cluster_counts(g, 4)[name] == brute_type_counts(g)[name] == 1, name
+    assert cluster_counts(generate("complete:4"), 4) == {
+        "K2": 6, "P3": 12, "P4": 12, "K1,3": 4, "K3": 4,
+        "P5": 0, "chair": 0, "K1,4": 0, "C4": 3, "paw": 12}
+    assert cluster_counts(generate("grid:100x100"), 4)["C4"] == 99 * 99
 
 
 def test_min_vertex_cover_examples():

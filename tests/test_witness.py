@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,13 @@ from rgstates import (Graph, SizeLimitError, approx_overlap,
                       gme_threshold, gme_witness_value, graph_state_vector,
                       overlap_linear_closed, overlap_star_closed, randomize,
                       randomization_overlap)
-from rgstates.witness import _contraction_plan, _level_coefficients
+from rgstates.state import signed_sum
+from rgstates.witness import (MAX_CLUSTER_WORK, _CLUSTER_WEIGHTS, _WEIGHT_DENOMINATOR,
+                              _cluster_coefficients, _contraction_coefficients,
+                              _contraction_plan, _level_coefficients)
 from conftest import graphs
-from oracles import brute_level_coefficients, brute_randomization_overlap, random_graph
+from oracles import (CLUSTER_TYPE_EDGES, brute_level_coefficients, brute_randomization_overlap,
+                     random_graph)
 
 P_GRID = [k / 10 for k in range(11)]
 
@@ -83,6 +90,85 @@ def test_level_coefficients_match_subset_sum():
     g = generate("grid:3x4")
     assert g.edge_count == 17
     assert _level_coefficients(g, 17) == brute_level_coefficients(g, 17)
+
+
+def exact_log_weight(edges, order=4):
+    """W(U) = sum over U' in U of (-1)^|U - U'| log Z_U'(t), exact to t^order.
+
+    Z_U'(t) = sum_(R in U') t^|R| (signed_sum(R) / 2^|V(R)|)^2, and log is
+    the series of log(1 + u) in u = Z - 1.
+    """
+    def squared_overlap(removed):
+        verts = sorted({v for e in removed for v in e})
+        adj = [0] * len(verts)
+        for i, j in removed:
+            a, b = verts.index(i), verts.index(j)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return Fraction(signed_sum(adj), 1 << len(verts)) ** 2
+
+    def log_z(sub):
+        u = [Fraction(0)] * (order + 1)
+        for r in range(1, min(len(sub), order) + 1):
+            u[r] = sum(squared_overlap(removed) for removed in itertools.combinations(sub, r))
+        logs, power = [Fraction(0)] * (order + 1), [Fraction(1)] + [Fraction(0)] * order
+        for k in range(1, order + 1):
+            power = [sum(power[i] * u[r - i] for i in range(r + 1)) for r in range(order + 1)]
+            logs = [c + Fraction((-1) ** (k + 1), k) * q for c, q in zip(logs, power)]
+        return logs
+
+    weight = [Fraction(0)] * (order + 1)
+    for size in range(len(edges) + 1):
+        for sub in itertools.combinations(edges, size):
+            sign = (-1) ** (len(edges) - size)
+            weight = [w + sign * c for w, c in zip(weight, log_z(sub))]
+    return weight
+
+
+def test_cluster_weights_match_their_definition():
+    assert set(_CLUSTER_WEIGHTS) == set(CLUSTER_TYPE_EDGES)
+    for name, edges in CLUSTER_TYPE_EDGES.items():
+        weight = exact_log_weight(edges)
+        assert weight[0] == 0
+        assert weight[1:] == [Fraction(c, _WEIGHT_DENOMINATOR)
+                              for c in _CLUSTER_WEIGHTS[name]], name
+        assert all(c == 0 for c in weight[:len(edges)]), name  # W_T = O(t^|T|)
+    # a disconnected edge set has no weight: f is multiplicative over its parts
+    assert exact_log_weight([(0, 1), (2, 3)]) == [0] * 5
+    assert exact_log_weight([(0, 1), (1, 2), (3, 4)]) == [0] * 5
+
+
+def test_cluster_coefficients_match_subset_sum():
+    rng = np.random.default_rng(59)
+    for _ in range(60):
+        g = random_graph(rng, 10)
+        for level in range(5):
+            assert _cluster_coefficients(g, level) == brute_level_coefficients(g, level), (g, level)
+
+
+def test_contraction_matches_subset_sum_at_low_levels():
+    # the cluster counts take levels <= 4, so the contraction is checked here directly
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        g = random_graph(rng, 9)
+        for level in range(5):
+            assert _contraction_coefficients(g, level) == brute_level_coefficients(g, level), (
+                g, level)
+
+
+@pytest.mark.parametrize("spec, level", [("grid:8x8", 3), ("grid3:3x3x3", 4), ("complete:8", 4)])
+def test_cluster_coefficients_match_contraction(spec, level):
+    g = generate(spec)
+    assert _cluster_coefficients(g, level) == _contraction_coefficients(g, level)
+
+
+def test_cluster_admission_bounds_work():
+    # sum_v d_v^2 = 400 x 399^2 neighbour popcounts at level 4
+    with pytest.raises(SizeLimitError,
+                       match=f"63680400 neighbour popcounts; the limit is {MAX_CLUSTER_WORK}"):
+        approx_overlap(generate("complete:400"), 0.9, 4)
+    # level 3 needs only sum_v d_v of them
+    assert approx_overlap(generate("complete:400"), 0.999, 3) > 0.0
 
 
 @pytest.mark.parametrize("spec, width", [
