@@ -1,12 +1,27 @@
 """Stabilizer formalism, the graph-state Bell operator, and classical bounds.
 
 Pauli strings are kept in binary symplectic form (x-bits, z-bits, sign) with
-X-before-Z site ordering, so that XZ = -iY.  The classical bound maximizes
-the Bell operator over all noncontextual +-1 assignments to the local X, Y,
-Z observables.  Both the classical bound and single assignment values read
-one stabilizer table: a sign and a per-qubit Pauli code (I, X, Z, Y) for
-each of the 2^n elements.  An assignment's value is a product of per-qubit
-local values, so the sum over elements contracts one qubit at a time.
+X-before-Z site ordering, so that XZ = -iY.  The stabilizer element of a
+vertex subset J, the product of the generators X_i Z_N(i) over i in J, is
+
+    S_J = (-1)^e(J) X^J Z^(Gamma J),
+
+where e(J) is the number of edges inside J and Gamma J is the XOR of the
+neighbour masks N(i), i in J.  (-1)^e(J) is the graph state's amplitude sign
+at basis string J, read from ``state.graph_state_vector``.  The rule has two
+uses here.  As a Hermitian Pauli string, each of the popcount(J & Gamma J)
+Y sites of S_J takes a factor -i, an even number of them, so its sign is
+(-1)^(e(J) - popcount(J & Gamma J)/2); this gives the stabilizer table.
+And S_J maps basis string c to c XOR J with the real factor
+(-1)^(e(J) + popcount(c & Gamma J)), so entry (r, c) of the Bell operator,
+the mean of all 2^n elements, is that factor for J = r XOR c, over 2^n.
+
+The classical bound maximizes the Bell operator over all noncontextual +-1
+assignments to the local X, Y, Z observables.  Both the classical bound and
+single assignment values read one stabilizer table: a sign and a per-qubit
+Pauli code (I, X, Z, Y) for each of the 2^n elements.  An assignment's value
+is a product of per-qubit local values, so the sum over elements contracts
+one qubit at a time.
 
 The search is gauge-fixed to a_z = +1 on every qubit, 4^n of the 8^n
 assignments.  Flip the local values that anticommute with a stabilizer
@@ -25,6 +40,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .graph import Graph
+from .state import graph_state_vector
 from .witness import (DEFAULT_THRESHOLD_TOL, WitnessEvaluation, _check_tol,
                       _overlap_at_level, _witness_evaluation, find_threshold)
 
@@ -62,20 +78,28 @@ class LhvAssignment:
 
 
 def stabilizer_element(g: Graph, j_mask: int) -> StabilizerElement:
-    """Product of the generators X_i Z_N(i) over the vertices in ``j_mask``."""
+    """Product of the generators X_i Z_N(i) over the vertices in ``j_mask``.
+
+    The sign rule of the module docstring, in Python ints, so any n works.
+    """
     if not 0 <= j_mask < (1 << g.n):
         raise ValueError(f"vertex subset {j_mask:#x} out of range for n={g.n}")
-    x = z = 0
-    phase = 0  # exponent of i in the X-before-Z normal form
+    z = inside = 0  # Gamma J, and twice the number of edges inside J
     for i in range(g.n):
         if (j_mask >> i) & 1:
-            phase = (phase + 2 * ((z >> i) & 1)) % 4
-            x ^= 1 << i
             z ^= g.adjacency[i]
-    y_sites = (x & z).bit_count()
-    k = (phase - y_sites) % 4
-    assert k % 2 == 0, "stabilizer product must resolve to a real sign"
-    return StabilizerElement(g.n, x, z, 1 if k == 0 else -1)
+            inside += (g.adjacency[i] & j_mask).bit_count()
+    exponent = inside // 2 - (j_mask & z).bit_count() // 2
+    return StabilizerElement(g.n, j_mask, z, 1 - 2 * (exponent & 1))
+
+
+def _subsets_and_z_parts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex subset J in 0..2^n - 1 and its Z part Gamma J, as int64 masks."""
+    subsets = np.arange(1 << g.n, dtype=np.int64)
+    z_parts = np.zeros(1 << g.n, dtype=np.int64)
+    for i, neighbours in enumerate(g.adjacency):  # J | 2^i for the J < 2^i
+        np.bitwise_xor(z_parts[:1 << i], neighbours, out=z_parts[1 << i:2 << i])
+    return subsets, z_parts
 
 
 def _pauli_action(elem: StabilizerElement) -> tuple[np.ndarray, np.ndarray]:
@@ -104,30 +128,33 @@ def apply_stabilizer(elem: StabilizerElement, vec: np.ndarray) -> np.ndarray:
 
 
 def bell_operator_matrix(g: Graph) -> np.ndarray:
-    """Average of all 2^n stabilizer elements; equals the graph-state projector."""
+    """Average of all 2^n stabilizer elements; equals the graph-state projector.
+
+    Entry (r, c) comes from the single element J = r XOR c that maps c to r
+    (module docstring), so it is +-2^-n with no sum.
+    """
     if g.n > MAX_BELL_QUBITS:
         raise SizeLimitError(f"Bell operator capped at n={MAX_BELL_QUBITS}, got {g.n}")
-    dim = 1 << g.n
-    cols = np.arange(dim)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for j_mask in range(dim):
-        rows, values = _pauli_action(stabilizer_element(g, j_mask))
-        acc[rows, cols] += values
-    acc /= dim
-    assert np.abs(acc.imag).max() < 1e-12
-    return np.ascontiguousarray(acc.real)
+    odd_edges = graph_state_vector(g).signs < 0  # e(J) mod 2
+    subsets, z_parts = _subsets_and_z_parts(g)
+    j = subsets[:, None] ^ subsets  # J = r XOR c
+    parity = (odd_edges[j] + np.bitwise_count(z_parts[j] & subsets)) & 1
+    scale = 1.0 / (1 << g.n)
+    return np.where(parity, -scale, scale)
 
 
 def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Signs and Pauli codes of all 2^n stabilizer elements.
 
     ``paulis[J, k] = x_k + 2 z_k`` of element J is 0, 1, 2, 3 for I, X, Z, Y.
+    The sign is the graph state's sign at J times (-1)^(Y sites / 2).
     """
-    elems = [stabilizer_element(g, j_mask) for j_mask in range(1 << g.n)]
-    signs = np.array([e.sign for e in elems], dtype=np.int64)
-    bits = np.array([(e.x_bits, e.z_bits) for e in elems], dtype=np.int64)
+    state_signs = graph_state_vector(g).signs  # (-1)^e(J); the state size cap refuses first
+    subsets, z_parts = _subsets_and_z_parts(g)
+    y_pairs = np.bitwise_count(subsets & z_parts).astype(np.int64) >> 1  # 1 - 2 * uint8 wraps
+    signs = state_signs * (1 - 2 * (y_pairs & 1))
     sites = np.arange(g.n)
-    paulis = (bits[:, :1] >> sites & 1) + 2 * (bits[:, 1:] >> sites & 1)
+    paulis = (subsets[:, None] >> sites & 1) + 2 * (z_parts[:, None] >> sites & 1)
     return signs, paulis
 
 
@@ -144,7 +171,8 @@ def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
 def lhv_bound(g: Graph) -> float:
     """Classical bound D(g): max |<B>| over all noncontextual assignments.
 
-    The element signs are summed into a (4,)*n tensor indexed by Pauli code;
+    The element signs are written into a (4,)*n tensor indexed by Pauli
+    code; the X part of element J is J itself, so no two share a cell;
     contracting each qubit's axis with the 4x4 local-value table of a_z = +1
     gives the value of each of the 4^n gauge-fixed assignments, which take
     every value that the 8^n assignments take.  Every partial sum is an
@@ -155,7 +183,7 @@ def lhv_bound(g: Graph) -> float:
         raise SizeLimitError(f"LHV search capped at n={MAX_LHV_QUBITS}, got {g.n}")
     signs, paulis = _stabilizer_table(g)
     values = np.zeros((4,) * g.n, dtype=np.float32)
-    np.add.at(values, tuple(paulis.T), signs)
+    values[tuple(paulis.T)] = signs
     for _ in range(g.n):  # the leading axis is always the next qubit's
         values = np.tensordot(values, _LOCAL_VALUES, axes=(0, 1))
     # no np.abs: that would be another 4^n temporary

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import SizeLimitError
 from .graph import Graph
 from .density import DensityMatrix, subgraph_mixture
+from .state import _WORD_EDGES
 
-MAX_SAMPLE_EDGES = 63
 MAX_SAMPLE_PATTERNS = 1 << 24  # live prefixes: 256 MiB of masks plus tallies
 _DRAW_BLOCK = 1 << 16  # prefixes per step of the per-edge draws and bit sets
 
@@ -63,8 +63,8 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     e = g.edge_count
-    if e > MAX_SAMPLE_EDGES:
-        raise SizeLimitError(f"sampling capped at |E|={MAX_SAMPLE_EDGES}, got {e}")
+    if e > _WORD_EDGES:  # a mask is one nonnegative int64 word
+        raise SizeLimitError(f"sampling capped at |E|={_WORD_EDGES}, got {e}")
 
     # Live prefixes: masks over edges 0..k-1 and how many shots share each,
     # in the first ``live`` slots of arrays grown by doubling.  A prefix whose

@@ -103,9 +103,11 @@ def signed_sum(adjacency) -> int:
 
 
 def empty_overlap(g: Graph) -> float:
-    """Amplitude of ``|g>`` on the uniform (empty-graph) state, 2^-n * sum of signs."""
-    if g.n > MAX_STATE_QUBITS:
-        raise SizeLimitError(f"overlap capped at n={MAX_STATE_QUBITS}, got {g.n}")
+    """Amplitude of ``|g>`` on the uniform (empty-graph) state, 2^-n * sum of signs.
+
+    Polynomial in n through ``signed_sum``, so there is no qubit cap; a value
+    below 2^-1074 rounds to 0.0.
+    """
     return signed_sum(g.adjacency) / (1 << g.n)
 
 

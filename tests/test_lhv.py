@@ -65,12 +65,31 @@ def test_every_element_fixes_the_graph_state(g):
         assert np.allclose(out, vec, atol=1e-12)
 
 
+def test_stabilizer_table_matches_elements():
+    rng = np.random.default_rng(1304)
+    graphs_checked = [random_graph(rng, 8, min_n=1) for _ in range(60)]
+    # complete:12 has 66 edges, past the one-word excitation-pattern limit
+    graphs_checked.append(generate("complete:12"))
+    for g in graphs_checked:
+        signs, paulis = lhv._stabilizer_table(g)
+        assert signs.dtype == paulis.dtype == np.int64
+        assert signs.shape == (1 << g.n,) and paulis.shape == (1 << g.n, g.n)
+        sites = np.arange(g.n)
+        for j_mask in range(1 << g.n):
+            e = stabilizer_element(g, j_mask)
+            codes = (e.x_bits >> sites & 1) + 2 * (e.z_bits >> sites & 1)
+            assert signs[j_mask] == e.sign, (g, j_mask)
+            assert np.array_equal(paulis[j_mask], codes), (g, j_mask)
+
+
 @pytest.mark.parametrize("spec", FAMILIES_N6)
 def test_bell_operator_equals_projector(spec):
     g = generate(spec)
     signs = graph_state_vector(g).signs.astype(float)
     projector = np.outer(signs, signs) / (1 << g.n)
-    assert np.abs(bell_operator_matrix(g) - projector).max() < 1e-12
+    b = bell_operator_matrix(g)
+    assert b.dtype == np.float64
+    assert np.array_equal(b, projector)  # both sides are +-2^-n
 
 
 def test_bell_operator_single_qubit():
@@ -141,6 +160,13 @@ def test_bell_expectation_lhv_matches_dense_elements(g, data):
     pm = st.tuples(*[st.sampled_from((1, -1))] * g.n)
     assign = LhvAssignment(data.draw(pm), data.draw(pm), data.draw(pm))
     assert bell_expectation_lhv(g, assign) == brute_bell_expectation(g, assign)
+
+
+def test_bell_expectation_lhv_refused_past_the_state_cap():
+    # the table reads the graph-state signs, so their qubit cap refuses first
+    g, assign = generate("empty:21"), LhvAssignment((1,) * 21, (1,) * 21, (1,) * 21)
+    with pytest.raises(SizeLimitError, match="capped at n=20"):
+        bell_expectation_lhv(g, assign)
 
 
 def test_assignment_validation():

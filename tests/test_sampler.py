@@ -45,7 +45,7 @@ def test_validation():
     for threads in (0, -1):
         with pytest.raises(ValueError):
             sample_preparation(PATH3, 0.5, 10, 0, threads=threads)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"sampling capped at \|E\|=63, got 66"):
         sample_preparation(generate("complete:12"), 0.5, 10, 0)  # 66 edges
 
 

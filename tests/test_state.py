@@ -45,8 +45,10 @@ def test_first_sign_is_positive(g):
 def test_state_size_cap():
     with pytest.raises(SizeLimitError):
         graph_state_vector(generate("empty:21"))
-    with pytest.raises(SizeLimitError):
-        empty_overlap(generate("empty:21"))
+    # overlaps take the polynomial F2 elimination, so they have no qubit cap
+    assert empty_overlap(generate("empty:21")) == 1.0
+    assert empty_overlap(generate("grid:30x30")) == 2.0 ** -435
+    assert empty_overlap(generate("cycle:1000")) ** 2 == closed_form_overlap_sq("cycle:1000")
 
 
 @given(graphs(max_n=6))
