@@ -19,8 +19,18 @@ from .errors import GraphSpecError, SizeLimitError
 # Exact minimum-vertex-cover search is capped; it only serves as an upper
 # bound on persistency, never as a large-scale primitive.
 MAX_COVER_VERTICES = 24
+# Adjacency ints take about n^2/16 bytes (1 GiB at the cap) on a banded graph.
+MAX_VERTICES = 2 ** 17
 
 _FAMILY_RE = re.compile(r"^([a-z0-9]+):(.+)$")
+
+
+def _check_vertex_count(n: int):
+    """Refuse more than ``MAX_VERTICES`` vertices before any edge is listed."""
+    if n > MAX_VERTICES:
+        raise SizeLimitError(
+            f"graph with n={n} vertices needs about {n * n // 16} bytes of adjacency"
+            f" bitmasks; the limit is n={MAX_VERTICES}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphSpecError(f"vertex count must be positive, got {self.n}")
+        _check_vertex_count(self.n)
         canon = []
         seen = set()
         for e in self.edges:
@@ -93,6 +104,7 @@ def generate(spec: str) -> Graph:
 
     if family in ("empty", "complete", "star", "path", "cycle"):
         (n,) = _positive_sizes([arg], spec, minimum=3 if family == "cycle" else 1)
+        _check_vertex_count(n)
         if family == "empty":
             return Graph(n, ())
         if family == "complete":
@@ -108,6 +120,7 @@ def generate(spec: str) -> Graph:
         if len(parts) != 2:
             raise GraphSpecError(f"grid spec needs MxN, got {spec!r}")
         rows, cols = _positive_sizes(parts, spec)
+        _check_vertex_count(rows * cols)
         edges = []
         for r in range(rows):
             for c in range(cols):
@@ -123,6 +136,7 @@ def generate(spec: str) -> Graph:
         if len(parts) != 3:
             raise GraphSpecError(f"grid3 spec needs IxJxK, got {spec!r}")
         ni, nj, nk = _positive_sizes(parts, spec)
+        _check_vertex_count(ni * nj * nk)
         edges = []
         for a in range(ni):
             for b in range(nj):
@@ -285,15 +299,19 @@ def min_vertex_cover(g: Graph) -> int:
     return best
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int here
+
+
 def _graph_from_json(doc) -> Graph:
     if not isinstance(doc, dict) or set(doc) != {"n", "edges"}:
         raise GraphSpecError('graph JSON must be {"n": int, "edges": [[i,j],...]}')
     n = doc["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise GraphSpecError("graph JSON field 'n' must be an integer")
     edges = []
     for e in doc["edges"]:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)):
             raise GraphSpecError(f"bad edge entry {e!r}")
         i, j = e
         if not i < j:

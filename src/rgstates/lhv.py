@@ -143,29 +143,42 @@ def bell_operator_matrix(g: Graph) -> np.ndarray:
     return np.where(parity, -scale, scale)
 
 
-def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and Pauli codes of all 2^n stabilizer elements.
+def _stabilizer_signs(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signs of all 2^n stabilizer elements, with their masks J and Gamma J.
 
-    ``paulis[J, k] = x_k + 2 z_k`` of element J is 0, 1, 2, 3 for I, X, Z, Y.
     The sign is the graph state's sign at J times (-1)^(Y sites / 2).
     """
     state_signs = graph_state_vector(g).signs  # (-1)^e(J); the state size cap refuses first
     subsets, z_parts = _subsets_and_z_parts(g)
     y_pairs = np.bitwise_count(subsets & z_parts).astype(np.int64) >> 1  # 1 - 2 * uint8 wraps
-    signs = state_signs * (1 - 2 * (y_pairs & 1))
+    return state_signs * (1 - 2 * (y_pairs & 1)), subsets, z_parts
+
+
+def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and Pauli codes of all 2^n stabilizer elements.
+
+    ``paulis[J, k] = x_k + 2 z_k`` of element J is 0, 1, 2, 3 for I, X, Z, Y.
+    """
+    signs, subsets, z_parts = _stabilizer_signs(g)
     sites = np.arange(g.n)
     paulis = (subsets[:, None] >> sites & 1) + 2 * (z_parts[:, None] >> sites & 1)
     return signs, paulis
 
 
 def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
-    """Value of the Bell operator under one noncontextual assignment."""
+    """Value of the Bell operator under one noncontextual assignment.
+
+    Each element's term is its sign times the local value of its Pauli code
+    at every qubit; the qubits are multiplied in one at a time, read from
+    the J and Gamma J masks, so only vectors of length 2^n are held.
+    """
     if len(assignment.a_x) != g.n:
         raise ValueError(f"assignment is for {len(assignment.a_x)} qubits, graph has {g.n}")
-    signs, paulis = _stabilizer_table(g)
+    terms, subsets, z_parts = _stabilizer_signs(g)
     local = np.array([(1,) * g.n, assignment.a_x, assignment.a_z, assignment.a_y])
-    values = local[paulis, np.arange(g.n)].prod(axis=1)
-    return float(signs @ values) / (1 << g.n)
+    for k in range(g.n):
+        terms *= local[(subsets >> k & 1) + 2 * (z_parts >> k & 1), k]
+    return float(terms.sum()) / (1 << g.n)
 
 
 def lhv_bound(g: Graph) -> float:

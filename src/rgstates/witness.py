@@ -26,16 +26,19 @@ Higher levels, and so the exact polynomial of any graph of more than four
 edges, come from ``_contraction_coefficients``: one sweep over a greedy
 vertex order, carrying one float64 tensor with a size-4
 axis per frontier vertex (introduced, with an unintroduced neighbour) and
-one axis for t^1..t^level; t^0 is identically 1.  Edges fold in as in-place
-shift-adds, a vertex is summed out with a factor 1/4 after its last
-neighbour, and a vertex whose last neighbour is the one being introduced
-hands its axis over, so the tensor does not widen.  The cost follows the
-widest frontier w, not 2^|E|.  Before the sweep, an input is refused when
-its 4^w x level entries exceed ``MAX_CONTRACTION_ENTRIES`` (memory) or its
-|E| x level x (4^w + ``PASS_ENTRIES``) entry updates exceed
-``MAX_CONTRACTION_WORK`` (time), or when its coefficients, up to C(|E|, r),
-could leave the float64 range.  The cluster path needs no such check: at
-level <= 4 that takes |E| near 10^77, far past ``MAX_CLUSTER_WORK``.
+one axis for t^1..t^level; t^0 is identically 1.  A vertex is summed out
+with a factor 1/4 after its last neighbour.  The two steps that mix the t
+axis are one shift, P_r <- step(P_r, P_(r-1)) for r from the top down in
+blocks (``_shift``), through the constant 4x4 table ``_K``: an edge folds
+in as P_r + K P_(r-1), and a vertex whose last neighbour is the one being
+introduced hands its axis over as (J P_r + P_(r-1) K) / 4, so the tensor
+does not widen.  The cost follows the widest frontier w, not 2^|E|.
+Before the sweep, an input is refused when its 4^w x level entries exceed
+``MAX_CONTRACTION_ENTRIES`` (memory) or its |E| x level x (4^w +
+``PASS_ENTRIES``) entry updates exceed ``MAX_CONTRACTION_WORK`` (time), or
+when its coefficients, up to C(|E|, r), could leave the float64 range.
+The cluster path needs no such check: at level <= 4 that takes |E| near
+10^77, far past ``MAX_CLUSTER_WORK``.
 No density matrices are ever materialized here.
 """
 
@@ -60,6 +63,10 @@ DEFAULT_BRACKET = (0.5, 1.0)
 DEFAULT_THRESHOLD_TOL = 1e-9
 
 GME_CONSTANT = 0.5  # identity coefficient of the projector witness
+
+# K[sigma, tau] = (-1)^popcount(sigma & tau) with sigma = x + 2y, the edge sign
+_K = np.array([[(-1.0) ** (s & t).bit_count() for t in range(4)] for s in range(4)])
+_BLOCK = 2 ** 16  # entries of one block of the contraction's shift steps
 
 # Linked-cluster weights W_T(t) = sum_(U' in T) (-1)^|T - U'| log Z_U'(t) of
 # the connected types T, as numerators over _WEIGHT_DENOMINATOR of their
@@ -152,67 +159,46 @@ def _contraction_plan(g: Graph, max_width: float = float("inf")):
     return steps, width
 
 
-def _axis_index(ndim: int, picks: dict):
-    """Index tuple of an ndim array that slices the given axes and keeps the rest."""
-    return tuple(picks.get(axis, slice(None)) for axis in range(ndim))
+def _shift(poly, step):
+    """Set ``poly[r] = step(poly[r], poly[r-1])`` for r = last..1, in place.
 
-
-_ODD, _HIGH = slice(1, None, 2), slice(2, None)  # sigma with x = 1, with y = 1
+    ``step`` mixes entries along the last two axes at most.  Blocks of about
+    ``_BLOCK`` entries go from the top coefficient down: several whole
+    coefficients, or one index of the leading axes of a large one.  So every
+    block reads ``poly[r-1]`` before it is overwritten, and no temporary
+    holds more than one block.
+    """
+    per, lead = max(1, _BLOCK // poly[0].size), 0
+    while lead < poly.ndim - 3 and poly[0].size >> 2 * lead > _BLOCK:
+        lead += 1  # every axis after the first has length 4
+    for hi in range(poly.shape[0], 1, -per):
+        lo = max(1, hi - per)
+        for index in np.ndindex(poly.shape[1:1 + lead]):
+            cur = poly[(slice(lo, hi), *index)]
+            cur[...] = step(cur, poly[(slice(lo - 1, hi - 1), *index)])
 
 
 def _fold_edge(poly, a: int, b: int):
     """Multiply the polynomial tensor by 1 + t K along axes a and b, in place.
 
-    ``poly[k]`` holds the t^(k+1) coefficient; t^0 is identically 1.  K is
-    -1 where x_a x_b + y_a y_b is odd, applied by negating the x_a = x_b = 1
-    and y_a = y_b = 1 blocks.  P_1..P_(L-1) are negated once up front; then,
-    for k descending, P_k += K P_(k-1) reads the negated P_(k-1) after P_k
-    is negated back.
+    ``poly[k]`` holds the t^(k+1) coefficient; t^0 is identically 1, so the
+    new t^1 coefficient is ``poly[0] + K``.
     """
-    ndim = poly.ndim
-    blocks = (_axis_index(ndim, {a: _ODD, b: _ODD}), _axis_index(ndim, {a: _HIGH, b: _HIGH}))
-
-    def flip(coeffs):  # coeffs <- K coeffs
-        for block in blocks:
-            view = coeffs[block]
-            view *= -1.0  # numpy 2.4.6 np.negative(view, out=view) errs on 64-byte strides
-
-    last = poly.shape[0] - 1
-    flip(poly[:max(last, 1)])
-    for k in range(last, 0, -1):
-        if k < last:
-            flip(poly[k:k + 1])
-        poly[k] += poly[k - 1]
-    poly[0] += 1.0  # K times the t^0 coefficient 1, under the flip
-    flip(poly[:1])
+    moved = np.moveaxis(poly, (a, b), (-2, -1))
+    _shift(moved, lambda cur, prev: cur + _K * prev)
+    moved[0] += _K
 
 
 def _replace_axis(poly, a: int):
     """Apply (J + t K) / 4 along axis a, in place.
 
     This sums out the vertex on axis a together with its edge to the vertex
-    that takes the axis over.  A 2x2 butterfly on each bit of the axis turns
-    P_1..P_(L-1) into their K-transforms H P_k, whose sigma = 0 entry is the
-    plain sum J P_k; P_L only needs that sum.  The new t^k coefficient is
-    (J P_k + H P_(k-1)) / 4, with H P_0 = 4 at sigma = 0 and 0 elsewhere.
+    that takes the axis over: along that axis the new t^k coefficient is
+    (J P_k + P_(k-1) K) / 4, with P_0 = 1, whose transform 1 K is (4, 0, 0, 0).
     """
-    ndim, last = poly.ndim, poly.shape[0] - 1
-    for lo, hi in ((slice(0, None, 2), _ODD), (slice(0, 2), _HIGH)):
-        u, w = poly[_axis_index(ndim, {a: lo})], poly[_axis_index(ndim, {a: hi})]
-        u += w
-        w = w[:last]
-        w *= -2.0
-        w += u[:last]
-    zero = _axis_index(ndim - 1, {a - 1: slice(0, 1)})
-    rest = _axis_index(ndim - 1, {a - 1: slice(1, None)})
-    for k in range(last, 0, -1):
-        cur, prev = poly[k], poly[k - 1]
-        np.add(prev[rest], cur[zero], out=cur[rest])
-        cur[zero] += prev[zero]
-    first = poly[0]
-    first[rest] = 0.0  # then add: a broadcast assignment would copy first[zero] 3 times
-    np.add(first[rest], first[zero], out=first[rest])
-    first[zero] += 4.0
+    moved = np.moveaxis(poly, a, -1)
+    _shift(moved, lambda cur, prev: cur.sum(-1, keepdims=True) + prev @ _K)
+    moved[0] = moved[0].sum(-1, keepdims=True) + _K.sum(0)
     poly *= 0.25
 
 

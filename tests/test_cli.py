@@ -365,6 +365,23 @@ def test_contraction_plan_refuses_before_it_completes(capsys):
     assert elapsed < 0.5
 
 
+def test_vertex_count_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "threshold", "--graph", "grid:1000x1000", "--level", "3")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and "n=1000000 vertices" in err and "Traceback" not in err
+    assert elapsed < 0.5
+
+
+def test_json_booleans_exit_2(capsys):
+    code, out, err = run(capsys, "overlap", "--graph", '{"n":3,"edges":[[false,true]]}',
+                         "--p", "0.5")
+    assert (code, out) == (2, "")
+    assert "bad edge entry" in err
+
+
 def interpolated(points, x):
     """Exact value at x of the polynomial through ``points``, by Lagrange's formula."""
     total = Fraction(0)

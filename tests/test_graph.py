@@ -7,7 +7,7 @@ from hypothesis import given
 from rgstates import (Graph, GraphSpecError, SizeLimitError,
                       class_counts, generate, min_vertex_cover, parse_graph,
                       serialize_graph, subgraph_from_mask, symmetric_difference)
-from rgstates.graph import cluster_counts
+from rgstates.graph import MAX_VERTICES, cluster_counts
 from conftest import graphs
 from oracles import (CLUSTER_TYPE_EDGES, brute_class_counts, brute_min_vertex_cover,
                      brute_type_counts, random_graph)
@@ -199,10 +199,22 @@ def test_parse_file(tmp_path):
 @pytest.mark.parametrize("bad", [
     '{"n":2}', '{"n":2,"edges":[[1,0]]}', '{"n":2,"edges":[[0,2]]}',
     '{"n":2,"edges":[[0,1],[0,1]]}', '{"n":"2","edges":[]}', "{broken",
+    # Python reads JSON booleans as ints; taken as 1/0 they broke the canonical round trip
+    '{"n":3,"edges":[[false,true]]}', '{"n":3,"edges":[[0,true]]}', '{"n":true,"edges":[]}',
 ])
 def test_parse_rejects_bad_json(bad):
     with pytest.raises(GraphSpecError):
         parse_graph(bad)
+
+
+def test_vertex_count_refused_before_adjacency():
+    # adjacency ints would take about n^2/16 bytes: 2.5 GB at n = 200000
+    with pytest.raises(SizeLimitError, match="n=200000 vertices needs about 2500000000 bytes"):
+        generate("path:200000")
+    with pytest.raises(SizeLimitError, match=f"the limit is n={MAX_VERTICES}"):
+        Graph(MAX_VERTICES + 1, ())
+    with pytest.raises(SizeLimitError):
+        parse_graph('{"n":1000000000,"edges":[]}')
 
 
 @given(graphs())

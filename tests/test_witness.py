@@ -9,7 +9,7 @@ from rgstates import (Graph, SizeLimitError, approx_overlap,
                       approx_overlap_2level, find_threshold, generate,
                       gme_threshold, gme_witness_value, graph_state_vector,
                       overlap_linear_closed, overlap_star_closed, randomize,
-                      randomization_overlap)
+                      randomization_overlap, witness)
 from rgstates.state import signed_sum
 from rgstates.witness import (MAX_CLUSTER_WORK, _CLUSTER_WEIGHTS, _WEIGHT_DENOMINATOR,
                               _cluster_coefficients, _contraction_coefficients,
@@ -154,6 +154,26 @@ def test_contraction_matches_subset_sum_at_low_levels():
         for level in range(5):
             assert _contraction_coefficients(g, level) == brute_level_coefficients(g, level), (
                 g, level)
+
+
+@pytest.mark.parametrize("block", [1, 4, 37])
+def test_contraction_block_size_is_invisible(monkeypatch, block):
+    # each shift step reads poly[r-1] before overwriting it, whatever the blocks
+    rng = np.random.default_rng(67)
+    cases = [random_graph(rng, 8) for _ in range(30)]
+    cases += [generate(spec) for spec in ("path:300", "cycle:40", "grid:4x4", "complete:7")]
+    expected = [_contraction_coefficients(g, g.edge_count) for g in cases]
+    monkeypatch.setattr(witness, "_BLOCK", block)
+    for g, coeffs in zip(cases, expected):
+        assert _contraction_coefficients(g, g.edge_count) == coeffs, g
+
+
+def test_exact_overlap_of_a_long_path_matches_its_closed_form():
+    # 399 coefficients of width 1 go through each shift step as one block
+    g = generate("path:400")
+    for p in (0.3, 0.9, 0.999):
+        assert randomization_overlap(g, p) == pytest.approx(
+            overlap_linear_closed(400, p), rel=1e-12)
 
 
 @pytest.mark.parametrize("spec, level", [("grid:8x8", 3), ("grid3:3x3x3", 4), ("complete:8", 4)])
