@@ -21,7 +21,7 @@ from .density import Bipartition, export_density, negativity, randomize, subgrap
 from .witness import (DEFAULT_THRESHOLD_TOL, GME_CONSTANT, gme_threshold,
                       gme_witness_value, _overlap_at_level)
 from .lhv import lhv_bound, lhv_threshold
-from .sampler import sample_preparation, sample_to_json
+from .sampler import sample_preparation, _json_pieces
 
 QUANTITIES = ("overlap", "gme_witness", "lhv_witness", "negativity", "rank")
 FIG_TARGETS = ("fig4", "fig5", "fig6", "fig7", "fig9")
@@ -238,7 +238,9 @@ def _cmd_sample(args):
     p = _parse_p(args.p)
     sample = sample_preparation(g, p, args.shots, args.seed,
                                 threads=_parse_threads(args.threads))
-    print(sample_to_json(sample, graph_spec=args.graph, p=p))
+    for piece in _json_pieces(sample, graph_spec=args.graph, p=p):
+        sys.stdout.write(piece)  # streamed: one block of the export at a time
+    sys.stdout.write("\n")
     return 0
 
 

@@ -240,12 +240,15 @@ def subgraph_space_dimension(g: Graph) -> int:
     The subgraph states span exactly the functions of u(x): rows of the
     2^n x 2^|E| sign matrix (-1)^popcount(m & u(x)) are equal for equal u(x)
     and independent Hadamard rows otherwise.  So the dimension is the exact
-    number of distinct excitation patterns.
+    number of distinct excitation patterns, counted as the value changes of
+    the sorted patterns (a plain ``np.unique`` would import ``numpy.ma``).
     """
     if g.n > MAX_DENSITY_QUBITS:
         raise SizeLimitError(
             f"subgraph space dimension capped at n={MAX_DENSITY_QUBITS}, got {g.n}")
-    return len(np.unique(excitation_patterns(g)))
+    u = excitation_patterns(g)
+    u.sort()
+    return 1 + int(np.count_nonzero(u[1:] != u[:-1]))
 
 
 def export_density(rho: DensityMatrix, base_path, *, p: float, graph_spec: str):

@@ -6,7 +6,10 @@ multinomial draw over edge masks.  It is drawn by splitting the shot count
 edge by edge on one ``np.random.default_rng(seed)`` stream: each seed gives
 one fixed sample.  A sample is the mask width |E| plus two read-only int64
 arrays, the distinct masks in ascending order and their tallies; the
-``counts`` dict view is built only when it is read.
+``counts`` dict view is built only when it is read.  The JSON export is
+built in row blocks of ``_JSON_ROWS`` masks: ``sample_to_json`` joins them,
+at about two copies of its text, and the ``sample`` command writes them to
+stdout one at a time, at about one block.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .state import _WORD_EDGES
 
 MAX_SAMPLE_PATTERNS = 1 << 24  # live prefixes: 256 MiB of masks plus tallies
 _DRAW_BLOCK = 1 << 16  # prefixes per step of the per-edge draws and bit sets
+_JSON_ROWS = 1 << 12  # masks per piece of the JSON export
 
 _DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
@@ -85,6 +89,7 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
         for a in range(0, live, _DRAW_BLOCK):
             np.less(rng.random(min(_DRAW_BLOCK, live - a)), p, out=keep[a:a + _DRAW_BLOCK])
         grown = live
+        stay, fresh = [np.empty(0, dtype=np.intp)], []  # the next ``several``, ascending
         for a in range(0, len(several), _DRAW_BLOCK):
             block = several[a:a + _DRAW_BLOCK].copy()  # no view outlives ``several``
             held = tallies[block]
@@ -102,6 +107,8 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
                 tallies[parents] -= children
                 masks[grown:end] = masks[parents] | (1 << k)
                 tallies[grown:end] = children
+                stay.append(block[tallies[block] > 1])
+                fresh.append(grown + np.flatnonzero(children > 1))
             grown = end
         if grown > MAX_SAMPLE_PATTERNS:
             raise SizeLimitError(
@@ -111,9 +118,11 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
             masks[a:min(a + _DRAW_BLOCK, live)] |= keep[a:a + _DRAW_BLOCK] * (1 << k)
         live = grown
         del keep, several  # before ``several`` is rebuilt
-        several = np.flatnonzero(tallies[:live] > 1)
+        several = np.concatenate(stay + fresh)
+        del stay, fresh
     order = np.argsort(masks[:live])
-    masks, tallies = masks[order], tallies[order]
+    masks = masks[order]  # one sorted copy at a time beside the grown arrays
+    tallies = tallies[order]
     masks.flags.writeable = tallies.flags.writeable = False
     return PreparationSample(shots=shots, seed=seed, width=e,
                              masks=masks, tallies=tallies)
@@ -158,23 +167,37 @@ def sample_to_json(sample: PreparationSample, *, graph_spec: str, p: float) -> s
     """Serialize a sample with hex-keyed mask counts.
 
     The text equals ``json.dumps`` of the header fields and the dict
-    ``{hex(bits): count}`` with separators ``(",", ":")``.  The counts body
-    is one byte matrix, a row ``"0x<mask>":<tally>,`` per mask, with the
-    leading zeros and the last comma masked out: no per-entry objects.
+    ``{hex(bits): count}`` with separators ``(",", ":")``.  It is joined from
+    the pieces of ``_json_pieces``, so it costs about two copies of itself.
+    """
+    return "".join(_json_pieces(sample, graph_spec=graph_spec, p=p))
+
+
+def _json_pieces(sample: PreparationSample, *, graph_spec: str, p: float):
+    """The text of ``sample_to_json`` in pieces of ``_JSON_ROWS`` masks each.
+
+    Each piece is one byte matrix, a row ``"0x<mask>":<tally>,`` per mask,
+    with the leading zeros masked out: no per-entry objects.  The digit
+    widths are taken over the whole sample, and the last row drops its comma.
     """
     head = json.dumps({"graph_spec": graph_spec, "p": p, "shots": sample.shots,
                        "seed": sample.seed}, separators=(",", ":"))
+    yield f'{head[:-1]},"counts":{{'
     masks, tallies = sample.masks, sample.tallies
     hex_width = max(1, (int(masks.max()).bit_length() + 3) // 4)
     dec_width = len(str(int(tallies.max())))
     a, b = 3 + hex_width, 5 + hex_width  # the mask digits are cells[:, 3:a]
-    cells = np.empty((len(masks), b + dec_width + 1), dtype=np.uint8)
-    keep = np.ones(cells.shape, dtype=bool)
+    cells = np.empty((min(len(masks), _JSON_ROWS), b + dec_width + 1), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)  # the digit columns are rewritten per block
     cells[:, :3] = np.frombuffer(b'"0x', dtype=np.uint8)
-    _write_digits(masks, cells[:, 3:a], keep[:, 3:a], 16)
     cells[:, a:b] = np.frombuffer(b'":', dtype=np.uint8)
-    _write_digits(tallies, cells[:, b:-1], keep[:, b:-1], 10)
     cells[:, -1] = ord(",")
-    keep[-1, -1] = False
-    body = cells[keep].tobytes().decode("ascii")
-    return f'{head[:-1]},"counts":{{{body}}}}}'
+    for start in range(0, len(masks), _JSON_ROWS):
+        end = min(start + _JSON_ROWS, len(masks))
+        c, k = cells[:end - start], keep[:end - start]
+        _write_digits(masks[start:end], c[:, 3:a], k[:, 3:a], 16)
+        _write_digits(tallies[start:end], c[:, b:-1], k[:, b:-1], 10)
+        if end == len(masks):
+            k[-1, -1] = False
+        yield c[k].tobytes().decode("ascii")
+    yield "}}"

@@ -34,7 +34,7 @@ in as P_r + K P_(r-1), and a vertex whose last neighbour is the one being
 introduced hands its axis over as (J P_r + P_(r-1) K) / 4, so the tensor
 does not widen.  The cost follows the widest frontier w, not 2^|E|.
 Before the sweep, an input is refused when its 4^w x level entries exceed
-``MAX_CONTRACTION_ENTRIES`` (memory) or its |E| x level x (4^w +
+``MAX_CONTRACTION_ENTRIES`` (memory) or its |E| x (4^w x level +
 ``PASS_ENTRIES``) entry updates exceed ``MAX_CONTRACTION_WORK`` (time), or
 when its coefficients, up to C(|E|, r), could leave the float64 range.
 The cluster path needs no such check: at level <= 4 that takes |E| near
@@ -56,7 +56,7 @@ from .graph import Graph, class_counts, cluster_counts, serialize_graph
 
 MAX_CONTRACTION_ENTRIES = 2 ** 24  # float64 entries of the widest tensor
 MAX_CONTRACTION_WORK = 2 ** 30  # entry updates of one sweep
-PASS_ENTRIES = 1024  # fixed cost of one numpy pass, in entry updates
+PASS_ENTRIES = 2 ** 13  # fixed cost of one edge's shift, in entry updates
 MAX_CLUSTER_LEVEL = 4  # highest level summed from connected-type counts
 MAX_CLUSTER_WORK = 2 ** 24  # neighbour popcounts of one count
 DEFAULT_BRACKET = (0.5, 1.0)
@@ -218,13 +218,20 @@ def _admitted_plan(g: Graph, level: int):
     """Steps of the sweep to t^level, refused if out of range, memory or time.
 
     The range is checked before the order is planned.  The widest tensor
-    holds 4^w x level float64 entries.  Every edge is folded in by about
-    ``level`` passes over at most 4^w entries each, and a pass has a fixed
-    cost of about ``PASS_ENTRIES`` entry updates, so a sweep makes about
-    |E| x level x (4^w + PASS_ENTRIES) of them.  Both limits give a widest
-    admitted w, and planning stops as soon as the frontier grows past it,
-    so a refusal reports the first width that failed, not the order's full
-    width.
+    holds 4^w x level float64 entries.  Every edge is folded in by one shift
+    over at most that many entries, in blocks of about ``_BLOCK``.  So a
+    sweep makes about |E| x (4^w x level + PASS_ENTRIES) entry updates,
+    with ``PASS_ENTRIES`` the fixed cost of a shift's first block.  Fitted
+    to 29 timed sweeps (one BLAS thread, 2-vCPU machine), an estimated
+    update costs about 5 ns and a first block about 35 us.  A further
+    block costs 3-12 us, a few percent of its entries, so the entry term
+    covers it.  The estimate charges every edge at the widest frontier, so
+    the longest admitted sweeps are long strips whose edges nearly all fold
+    there: exact grid:5x100 takes about 9 s, exact grid:8x8 about 4 s.
+    Narrow sweeps meet the range limit first (exact grid:3x200, 1 s).
+    Both limits give a widest admitted w, and planning stops as soon as
+    the frontier grows past it, so a refusal reports the first width that
+    failed, not the order's full width.
     """
     _check_range(g, level)
 
@@ -232,7 +239,7 @@ def _admitted_plan(g: Graph, level: int):
         return 4 ** w * level
 
     def work(w):
-        return g.edge_count * level * (4 ** w + PASS_ENTRIES)
+        return g.edge_count * (entries(w) + PASS_ENTRIES)
 
     admitted = -1
     while (entries(admitted + 1) <= MAX_CONTRACTION_ENTRIES
@@ -247,8 +254,8 @@ def _admitted_plan(g: Graph, level: int):
             f" float64 entries ({8 * entries(width)} bytes) at frontier width {width};"
             f" the limit is {MAX_CONTRACTION_ENTRIES} entries")
     raise SizeLimitError(
-        f"overlap contraction needs at least {g.edge_count} edges x {level} x"
-        f" (4^{width} + {PASS_ENTRIES}) = {work(width)} entry updates at frontier"
+        f"overlap contraction needs at least {g.edge_count} edges x (4^{width} x"
+        f" {level} + {PASS_ENTRIES}) = {work(width)} entry updates at frontier"
         f" width {width}; the limit is {MAX_CONTRACTION_WORK}")
 
 

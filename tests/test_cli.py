@@ -257,6 +257,17 @@ def test_sample_schema_and_determinism(capsys):
     assert run(capsys, *args)[1] == out
 
 
+def test_sample_streams_the_library_export(capsys):
+    # about 3 * 10^4 distinct masks: several blocks of the export
+    args = ("sample", "--graph", "grid:3x4", "--p", "0.5", "--shots", "50000",
+            "--seed", "4")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    sample = sampler.sample_preparation(parse_graph("grid:3x4"), 0.5, 50_000, 4)
+    assert len(sample.masks) > 3 * sampler._JSON_ROWS
+    assert out == sampler.sample_to_json(sample, graph_spec="grid:3x4", p=0.5) + "\n"
+
+
 def test_sample_rejects_threads_below_one(capsys):
     for bad in ("0", "-1"):
         code, out, err = run(capsys, "sample", "--graph", "path:3", "--p", "0.5",
@@ -426,6 +437,14 @@ def test_overlap_refuses_coefficients_past_float64(capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "overflow float64" in err
+
+
+def test_narrow_exact_threshold_is_admitted(capsys):
+    # 1018 edges at width 2: the contraction's fixed cost is charged per
+    # edge's blocked shift, not per coefficient, so this 0.3 s sweep is admitted
+    code, out, err = run(capsys, "threshold", "--graph", "grid:2x340")
+    assert (code, err) == (0, "")
+    assert 0.99 < json.loads(out)["p_w"] < 1
 
 
 def test_contraction_estimate_refuses_long_sweep(capsys):

@@ -226,6 +226,17 @@ def test_subgraph_space_dimension_examples():
         subgraph_space_dimension(generate("complete:13"))  # n > 12
 
 
+def test_subgraph_space_dimension_matches_dense_rank():
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 12:
+        g = random_graph(rng, 6)
+        if g.edge_count > 11:
+            continue
+        assert subgraph_space_dimension(g) == brute_subgraph_dimension(g), g
+        checked += 1
+
+
 def test_rank_equals_dimension_on_random_graphs():
     rng = np.random.default_rng(5)
     for _ in range(10):

@@ -191,6 +191,24 @@ def test_sample_json_equals_dict_dump(pairs, width, graph_spec, p):
     assert sample_to_json(sample, graph_spec=graph_spec, p=p) == expected
 
 
+@pytest.mark.parametrize("rows", [1, sampler._JSON_ROWS - 1, sampler._JSON_ROWS,
+                                  sampler._JSON_ROWS + 1, 3 * sampler._JSON_ROWS + 5])
+def test_sample_json_blocks_equal_dict_dump(rows):
+    # the export is built in blocks of _JSON_ROWS masks; the digit widths and
+    # the one dropped comma belong to the whole sample, not to a block
+    rng = np.random.default_rng(rows)
+    masks = np.unique(rng.integers(0, 1 << 62, 2 * rows))[:rows]
+    masks[0] = 0
+    tallies = 10 ** rng.integers(0, 18, rows) - 1
+    tallies[tallies == 0] = 1
+    pairs = dict(zip(masks.tolist(), tallies.tolist()))
+    sample = PreparationSample(shots=sum(pairs.values()), seed=rows, width=62,
+                               masks=masks, tallies=tallies)
+    expected = dict_sample_json(pairs, shots=sample.shots, seed=rows,
+                                graph_spec="grid:5x5", p=0.55)
+    assert sample_to_json(sample, graph_spec="grid:5x5", p=0.55) == expected
+
+
 def test_sample_keeps_counts_view_lazy():
     sample = sample_preparation(generate("cycle:5"), 0.4, 3000, 12)
     assert "counts" not in vars(sample)
