@@ -11,8 +11,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from pathlib import Path
+
+import numpy as np
 
 from .errors import GraphSpecError, SizeLimitError
 
@@ -91,66 +93,52 @@ def _positive_sizes(parts, spec, minimum=1):
     return sizes
 
 
+# spec form of each family; the lattices take one size per axis
+_FORMS = {"empty": "N", "complete": "N", "star": "N", "path": "N", "cycle": "N",
+          "grid": "MxN", "grid3": "IxJxK"}
+
+
+def _lattice_edges(sizes, wrap: bool) -> tuple[tuple[int, int], ...]:
+    """Each vertex of the row-major lattice ``arange(n).reshape(sizes)`` paired
+    with its successor along every axis, plus (0, n - 1) if ``wrap``."""
+    lattice = np.arange(prod(sizes)).reshape(sizes)
+    first, second = ([0], [lattice.size - 1]) if wrap else ([], [])  # Python ints, for JSON
+    for axis in range(lattice.ndim):
+        lines = lattice.swapaxes(0, axis)
+        first += lines[:-1].ravel().tolist()
+        second += lines[1:].ravel().tolist()
+    return tuple(zip(first, second))
+
+
 def generate(spec: str) -> Graph:
     """Build a named graph family from a ``family:size`` descriptor.
 
     Families: ``empty:N``, ``complete:N``, ``star:N`` (center = vertex 0),
-    ``path:N``, ``cycle:N`` (N >= 3), ``grid:MxN``, ``grid3:IxJxK``.
+    ``path:N``, ``cycle:N`` (N >= 3), ``grid:MxN``, ``grid3:IxJxK``.  The
+    last four are one nearest-neighbour lattice in 1, 2 or 3 dimensions,
+    numbered row-major, with ``cycle`` closed into a ring.  The vertex cap is
+    checked before any edge is listed.
     """
     m = _FAMILY_RE.match(spec.strip())
     if not m:
         raise GraphSpecError(f"cannot parse graph spec {spec!r}")
     family, arg = m.groups()
-
-    if family in ("empty", "complete", "star", "path", "cycle"):
-        (n,) = _positive_sizes([arg], spec, minimum=3 if family == "cycle" else 1)
-        _check_vertex_count(n)
-        if family == "empty":
-            return Graph(n, ())
-        if family == "complete":
-            return Graph(n, tuple(combinations(range(n), 2)))
-        if family == "star":
-            return Graph(n, tuple((0, i) for i in range(1, n)))
-        if family == "path":
-            return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
-        return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-    if family == "grid":
-        parts = arg.split("x")
-        if len(parts) != 2:
-            raise GraphSpecError(f"grid spec needs MxN, got {spec!r}")
-        rows, cols = _positive_sizes(parts, spec)
-        _check_vertex_count(rows * cols)
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                v = r * cols + c
-                if c + 1 < cols:
-                    edges.append((v, v + 1))
-                if r + 1 < rows:
-                    edges.append((v, v + cols))
-        return Graph(rows * cols, tuple(edges))
-
-    if family == "grid3":
-        parts = arg.split("x")
-        if len(parts) != 3:
-            raise GraphSpecError(f"grid3 spec needs IxJxK, got {spec!r}")
-        ni, nj, nk = _positive_sizes(parts, spec)
-        _check_vertex_count(ni * nj * nk)
-        edges = []
-        for a in range(ni):
-            for b in range(nj):
-                for c in range(nk):
-                    v = (a * nj + b) * nk + c
-                    if c + 1 < nk:
-                        edges.append((v, v + 1))
-                    if b + 1 < nj:
-                        edges.append((v, v + nk))
-                    if a + 1 < ni:
-                        edges.append((v, v + nj * nk))
-        return Graph(ni * nj * nk, tuple(edges))
-
-    raise GraphSpecError(f"unknown graph family {family!r}")
+    form = _FORMS.get(family)
+    if form is None:
+        raise GraphSpecError(f"unknown graph family {family!r}")
+    parts = [arg] if form == "N" else arg.split("x")
+    if len(parts) != len(form.split("x")):
+        raise GraphSpecError(f"{family} spec needs {form}, got {spec!r}")
+    sizes = _positive_sizes(parts, spec, minimum=3 if family == "cycle" else 1)
+    n = prod(sizes)
+    _check_vertex_count(n)
+    if family == "empty":
+        return Graph(n, ())
+    if family == "complete":
+        return Graph(n, tuple(combinations(range(n), 2)))
+    if family == "star":
+        return Graph(n, tuple((0, i) for i in range(1, n)))
+    return Graph(n, _lattice_edges(sizes, wrap=family == "cycle"))
 
 
 def symmetric_difference(g: Graph, f: Graph) -> Graph:

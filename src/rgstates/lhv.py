@@ -8,13 +8,12 @@ vertex subset J, the product of the generators X_i Z_N(i) over i in J, is
 
 where e(J) is the number of edges inside J and Gamma J is the XOR of the
 neighbour masks N(i), i in J.  (-1)^e(J) is the graph state's amplitude sign
-at basis string J, read from ``state.graph_state_vector``.  The rule has two
-uses here.  As a Hermitian Pauli string, each of the popcount(J & Gamma J)
-Y sites of S_J takes a factor -i, an even number of them, so its sign is
-(-1)^(e(J) - popcount(J & Gamma J)/2); this gives the stabilizer table.
-And S_J maps basis string c to c XOR J with the real factor
-(-1)^(e(J) + popcount(c & Gamma J)), so entry (r, c) of the Bell operator,
-the mean of all 2^n elements, is that factor for J = r XOR c, over 2^n.
+at basis string J, read from ``state.graph_state_vector``.  As a Hermitian
+Pauli string, each of the popcount(J & Gamma J) Y sites of S_J takes a factor
+-i, an even number of them, so its sign is
+(-1)^(e(J) - popcount(J & Gamma J)/2); this gives the stabilizer table.  The
+Bell operator, the mean of all 2^n elements, is the graph-state projector, so
+its entry (r, c) is s_r s_c / 2^n with s the same sign vector.
 
 The classical bound maximizes the Bell operator over all noncontextual +-1
 assignments to the local X, Y, Z observables.  Both the classical bound and
@@ -128,19 +127,14 @@ def apply_stabilizer(elem: StabilizerElement, vec: np.ndarray) -> np.ndarray:
 
 
 def bell_operator_matrix(g: Graph) -> np.ndarray:
-    """Average of all 2^n stabilizer elements; equals the graph-state projector.
+    """Average of all 2^n stabilizer elements: the graph-state projector.
 
-    Entry (r, c) comes from the single element J = r XOR c that maps c to r
-    (module docstring), so it is +-2^-n with no sum.
+    Entry (r, c) is s_r s_c / 2^n, with s the state's sign vector.
     """
     if g.n > MAX_BELL_QUBITS:
         raise SizeLimitError(f"Bell operator capped at n={MAX_BELL_QUBITS}, got {g.n}")
-    odd_edges = graph_state_vector(g).signs < 0  # e(J) mod 2
-    subsets, z_parts = _subsets_and_z_parts(g)
-    j = subsets[:, None] ^ subsets  # J = r XOR c
-    parity = (odd_edges[j] + np.bitwise_count(z_parts[j] & subsets)) & 1
-    scale = 1.0 / (1 << g.n)
-    return np.where(parity, -scale, scale)
+    signs = graph_state_vector(g).signs
+    return np.outer(signs, signs * (1.0 / (1 << g.n)))
 
 
 def _stabilizer_signs(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

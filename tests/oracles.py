@@ -316,3 +316,20 @@ def brute_type_counts(g, max_edges=4):
                 name = CLUSTER_TYPE_KEYS[(len(verts), tuple(sorted(degree.values())))]
                 counts[name] = counts.get(name, 0) + 1
     return counts
+
+
+def brute_lattice_edges(sizes, wrap):
+    """Sorted pairs of lattice coordinates at Manhattan distance 1.
+
+    Vertices are numbered in ``itertools.product`` order (row-major).  With
+    ``wrap`` each axis is a ring, so distance along it is the shorter way round.
+    """
+    coords = list(itertools.product(*(range(s) for s in sizes)))
+    edges = []
+    for a, b in itertools.combinations(range(len(coords)), 2):
+        steps = [abs(x - y) for x, y in zip(coords[a], coords[b])]
+        if wrap:
+            steps = [min(d, s - d) for d, s in zip(steps, sizes)]
+        if sum(steps) == 1:
+            edges.append((a, b))
+    return edges

@@ -1,4 +1,6 @@
+import itertools
 import json
+from math import prod
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from rgstates import (Graph, GraphSpecError, SizeLimitError,
                       serialize_graph, subgraph_from_mask, symmetric_difference)
 from rgstates.graph import MAX_VERTICES, cluster_counts
 from conftest import graphs
-from oracles import (CLUSTER_TYPE_EDGES, brute_class_counts, brute_min_vertex_cover,
-                     brute_type_counts, random_graph)
+from oracles import (CLUSTER_TYPE_EDGES, brute_class_counts, brute_lattice_edges,
+                     brute_min_vertex_cover, brute_type_counts, random_graph)
 
 
 def test_generate_complete_3():
@@ -39,13 +41,40 @@ def test_generate_grid3():
     assert all(d == 3 for d in g.degrees())
 
 
-@pytest.mark.parametrize("bad", [
-    "complete", "unknown:4", "cycle:2", "path:0", "grid:3", "grid:2x0",
-    "grid3:1x2", "star:x", "",
-])
+def test_lattice_families_match_brute_force():
+    cases = [(f"path:{n}", (n,), False) for n in range(1, 31)]
+    cases += [(f"cycle:{n}", (n,), True) for n in range(3, 31)]
+    cases += [(f"grid:{a}x{b}", (a, b), False)
+              for a, b in itertools.product(range(1, 9), repeat=2)]
+    cases += [(f"grid3:{a}x{b}x{c}", (a, b, c), False)
+              for a, b, c in itertools.product(range(1, 6), repeat=3)]
+    for spec, sizes, wrap in cases:
+        g = generate(spec)
+        assert g.n == prod(sizes), spec
+        assert list(g.edges) == brute_lattice_edges(sizes, wrap), spec
+        assert all(type(v) is int for e in g.edges for v in e), spec
+
+
+BAD_SPEC_MESSAGES = {
+    "complete": "cannot parse graph spec 'complete'",
+    "unknown:4": "unknown graph family 'unknown'",
+    "cycle:2": "size out of range in 'cycle:2'",
+    "path:0": "size out of range in 'path:0'",
+    "grid:3": "grid spec needs MxN, got 'grid:3'",
+    "grid:2x0": "size out of range in 'grid:2x0'",
+    "grid3:1x2": "grid3 spec needs IxJxK, got 'grid3:1x2'",
+    "star:x": "non-integer size in 'star:x'",
+    "": "cannot parse graph spec ''",
+    "grid:2x3x4": "grid spec needs MxN, got 'grid:2x3x4'",
+    "grid3:2x2": "grid3 spec needs IxJxK, got 'grid3:2x2'",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SPEC_MESSAGES))
 def test_generate_rejects_bad_specs(bad):
-    with pytest.raises(GraphSpecError):
+    with pytest.raises(GraphSpecError) as excinfo:
         generate(bad)
+    assert str(excinfo.value) == BAD_SPEC_MESSAGES[bad]
 
 
 def test_graph_validation():
@@ -124,7 +153,6 @@ def test_class_counts_against_enumeration(g):
 
 
 def test_class_counts_exhaustive_up_to_5_vertices():
-    import itertools
     for n in range(1, 6):
         all_edges = tuple(itertools.combinations(range(n), 2))
         for bits in range(1 << len(all_edges)):

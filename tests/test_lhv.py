@@ -92,6 +92,15 @@ def test_bell_operator_equals_projector(spec):
     assert np.array_equal(b, projector)  # both sides are +-2^-n
 
 
+@settings(deadline=None, max_examples=30)
+@given(graphs(max_n=5))
+def test_bell_operator_is_the_mean_of_the_elements(g):
+    # independent of the projector form: every element is checked against
+    # dense generator products above
+    total = sum(stabilizer_matrix(stabilizer_element(g, j)) for j in range(1 << g.n))
+    assert np.array_equal(bell_operator_matrix(g), total / (1 << g.n))
+
+
 def test_bell_operator_single_qubit():
     b = bell_operator_matrix(generate("empty:1"))
     assert np.allclose(b, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-14)
