@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ import numpy as np
 from .errors import SizeLimitError
 from .graph import Graph
 from .state import excitation_patterns, walsh_hadamard
+from .witness import _check_p, _check_tol
 
 MAX_DENSITY_QUBITS = 12
 MAX_DENSITY_EDGES = 24
@@ -132,8 +132,7 @@ def randomize(g: Graph, p: float) -> DensityMatrix:
     Each edge of ``g`` is kept independently with probability ``p``, which
     dephases it independently: the character table is (1-2p)^popcount(z).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"randomness parameter must be in [0, 1], got {p}")
+    _check_p(p)
     _check_density_caps(g)
     masks = np.arange(1 << g.edge_count, dtype=np.int64)
     return _pattern_density(g, (1.0 - 2.0 * p) ** np.bitwise_count(masks))
@@ -141,8 +140,7 @@ def randomize(g: Graph, p: float) -> DensityMatrix:
 
 def randomized_bell(p: float) -> DensityMatrix:
     """Two-qubit randomized Bell state: explicit 4x4 matrix in 1 and 1-2p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"randomness parameter must be in [0, 1], got {p}")
+    _check_p(p)
     q = 1.0 - 2.0 * p
     m = np.array([
         [1.0, 1.0, 1.0, q],
@@ -228,8 +226,7 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
 
 def numerical_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     """Number of eigenvalues above ``tol`` relative to the largest one."""
-    if not (isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _check_tol(tol)
     evals, _ = _merged_spectrum(rho.entries)
     return int(np.count_nonzero(evals > tol * float(evals[-1])))
 

@@ -76,9 +76,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adjacency)
 
@@ -292,7 +289,8 @@ def _is_int(value) -> bool:
 
 
 def _graph_from_json(doc) -> Graph:
-    if not isinstance(doc, dict) or set(doc) != {"n", "edges"}:
+    if not (isinstance(doc, dict) and set(doc) == {"n", "edges"}
+            and isinstance(doc["edges"], list)):
         raise GraphSpecError('graph JSON must be {"n": int, "edges": [[i,j],...]}')
     n = doc["n"]
     if not _is_int(n):
@@ -314,7 +312,7 @@ def parse_graph(text: str) -> Graph:
     if s.startswith("{"):
         try:
             doc = json.loads(s)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphSpecError(f"invalid graph JSON: {exc}") from None
         return _graph_from_json(doc)
     if s.startswith("file:"):
@@ -323,7 +321,7 @@ def parse_graph(text: str) -> Graph:
             doc = json.loads(path.read_text())
         except OSError as exc:
             raise GraphSpecError(f"cannot read graph file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise GraphSpecError(f"invalid graph JSON in {path}: {exc}") from None
         return _graph_from_json(doc)
     return generate(s)

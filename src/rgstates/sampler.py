@@ -4,12 +4,14 @@ The per-edge gates all commute and each keeps its edge independently with
 probability p, so the mask histogram of ``shots`` preparation runs is one
 multinomial draw over edge masks.  It is drawn by splitting the shot count
 edge by edge on one ``np.random.default_rng(seed)`` stream: each seed gives
-one fixed sample.  A sample is the mask width |E| plus two read-only int64
-arrays, the distinct masks in ascending order and their tallies; the
-``counts`` dict view is built only when it is read.  The JSON export is
-built in row blocks of ``_JSON_ROWS`` masks: ``sample_to_json`` joins them,
-at about two copies of its text, and the ``sample`` command writes them to
-stdout one at a time, at about one block.
+one fixed sample.  The split holds two int64 prefix arrays, allocated once
+at the most prefixes the sample can reach, one byte per live prefix and one
+block of ``_DRAW_BLOCK`` temporaries.  A sample is the mask width |E| plus
+two read-only int64 arrays, the distinct masks in ascending order and their
+tallies; the ``counts`` dict view is built only when it is read.  The JSON
+export is built in row blocks of ``_JSON_ROWS`` masks: ``sample_to_json``
+joins them, at about two copies of its text, and the ``sample`` command
+writes them to stdout one at a time, at about one block.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .errors import SizeLimitError
 from .graph import Graph
 from .density import DensityMatrix, subgraph_mixture
 from .state import _WORD_EDGES
+from .witness import _check_p
 
 MAX_SAMPLE_PATTERNS = 1 << 24  # live prefixes: 256 MiB of masks plus tallies
-_DRAW_BLOCK = 1 << 16  # prefixes per step of the per-edge draws and bit sets
+_DRAW_BLOCK = 1 << 16  # prefixes per slice of the per-edge draws and pass
 _JSON_ROWS = 1 << 12  # masks per piece of the JSON export
 
 _DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
@@ -58,8 +61,7 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     ``threads`` must be at least 1 and has no effect: each seed gives one
     fixed sample, drawn on one stream.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"randomness parameter must be in [0, 1], got {p}")
+    _check_p(p)
     if not 1 <= shots < (1 << 63):
         raise ValueError(f"shots must be in [1, 2^63), got {shots}")
     if not 0 <= seed < (1 << 64):
@@ -71,27 +73,28 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
         raise SizeLimitError(f"sampling capped at |E|={_WORD_EDGES}, got {e}")
 
     # Live prefixes: masks over edges 0..k-1 and how many shots share each,
-    # in the first ``live`` slots of arrays grown by doubling.  A prefix whose
-    # shots all go one way is updated in place; one that splits keeps its
-    # dropped shots and appends its kept ones as a child.  ``several`` lists
-    # the prefixes of more than one shot in ascending order.
-    # Per edge, only arrays of one entry per live or multi-shot prefix are
-    # held: the uniforms, the binomials and the edge bit go in blocks, and a
-    # child is written straight into the arrays.  Past the cap, the children
-    # are only counted, so a refusal names the size the edge needed.
+    # in the first ``live`` slots; a page is touched only when a prefix
+    # reaches it.  A prefix whose shots all go one way is updated in place;
+    # one that splits keeps its dropped shots and appends its kept ones as a
+    # child.  Per edge, the uniforms decide the single-shot prefixes, then
+    # one pass over slices of prefixes draws the binomials of the multi-shot
+    # ones in ascending order, appends the children and sets the edge bit.
+    # Past the cap, the children are only counted, so a refusal names the
+    # size the edge needed.
     rng = np.random.default_rng(seed)
-    masks = np.zeros(1, dtype=np.int64)
-    tallies = np.array([shots], dtype=np.int64)
-    several = np.flatnonzero(tallies > 1)
+    size = min(shots, 1 << e, MAX_SAMPLE_PATTERNS)
+    masks = np.empty(size, dtype=np.int64)
+    tallies = np.empty(size, dtype=np.int64)
+    masks[0], tallies[0] = 0, shots
     live = 1
     for k in range(e):
         keep = np.empty(live, dtype=bool)  # decides the single-shot prefixes
         for a in range(0, live, _DRAW_BLOCK):
             np.less(rng.random(min(_DRAW_BLOCK, live - a)), p, out=keep[a:a + _DRAW_BLOCK])
         grown = live
-        stay, fresh = [np.empty(0, dtype=np.intp)], []  # the next ``several``, ascending
-        for a in range(0, len(several), _DRAW_BLOCK):
-            block = several[a:a + _DRAW_BLOCK].copy()  # no view outlives ``several``
+        for a in range(0, live, _DRAW_BLOCK):
+            b = min(a + _DRAW_BLOCK, live)
+            block = a + np.flatnonzero(tallies[a:b] > 1)
             held = tallies[block]
             kept = rng.binomial(held, p)
             whole = kept == held
@@ -100,39 +103,22 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
             parents, children = block[split], kept[split]
             end = grown + len(parents)
             if end <= MAX_SAMPLE_PATTERNS:
-                if end > len(masks):
-                    size = min(max(2 * len(masks), end), MAX_SAMPLE_PATTERNS)
-                    masks = _regrown(masks, grown, size)
-                    tallies = _regrown(tallies, grown, size)
                 tallies[parents] -= children
                 masks[grown:end] = masks[parents] | (1 << k)
                 tallies[grown:end] = children
-                stay.append(block[tallies[block] > 1])
-                fresh.append(grown + np.flatnonzero(children > 1))
             grown = end
+            masks[a:b] |= keep[a:b] * (1 << k)
         if grown > MAX_SAMPLE_PATTERNS:
             raise SizeLimitError(
                 f"sampling capped at {MAX_SAMPLE_PATTERNS} distinct mask prefixes;"
                 f" edge {k + 1} of {e} needs {grown}")
-        for a in range(0, live, _DRAW_BLOCK):
-            masks[a:min(a + _DRAW_BLOCK, live)] |= keep[a:a + _DRAW_BLOCK] * (1 << k)
         live = grown
-        del keep, several  # before ``several`` is rebuilt
-        several = np.concatenate(stay + fresh)
-        del stay, fresh
     order = np.argsort(masks[:live])
-    masks = masks[order]  # one sorted copy at a time beside the grown arrays
+    masks = masks[order]  # one sorted copy at a time beside the prefix arrays
     tallies = tallies[order]
     masks.flags.writeable = tallies.flags.writeable = False
     return PreparationSample(shots=shots, seed=seed, width=e,
                              masks=masks, tallies=tallies)
-
-
-def _regrown(a: np.ndarray, live: int, size: int) -> np.ndarray:
-    """A ``size``-slot copy of ``a`` holding its first ``live`` entries."""
-    out = np.empty(size, dtype=a.dtype)
-    out[:live] = a[:live]
-    return out
 
 
 def empirical_state(sample: PreparationSample, g: Graph) -> DensityMatrix:

@@ -283,8 +283,11 @@ def test_sample_rejects_shots_past_int64(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_sample_refuses_too_many_prefixes(capsys, monkeypatch):
+@pytest.mark.parametrize("block", [sampler._DRAW_BLOCK, 7])
+def test_sample_refuses_too_many_prefixes(capsys, monkeypatch, block):
+    # with 7-prefix slices, the children past the cap are counted over many slices
     monkeypatch.setattr(sampler, "MAX_SAMPLE_PATTERNS", 1000)
+    monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
     code, out, err = run(capsys, "sample", "--graph", "complete:11", "--p", "0.5",
                          "--shots", "1000000000000", "--seed", "1")
     assert (code, out) == (1, "")
@@ -384,6 +387,16 @@ def test_vertex_count_refused_at_once(capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and "n=1000000 vertices" in err and "Traceback" not in err
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("spec", [
+    '{"n": 3, "edges": 5}', '{"n": 3, "edges": null}',
+    pytest.param('{"n": ' + "[" * 100000, id="past-the-decoder-recursion-limit"),
+])
+def test_malformed_graph_json_exits_2(capsys, spec):
+    code, out, err = run(capsys, "dim", "--graph", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_json_booleans_exit_2(capsys):

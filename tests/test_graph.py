@@ -229,10 +229,19 @@ def test_parse_file(tmp_path):
     '{"n":2,"edges":[[0,1],[0,1]]}', '{"n":"2","edges":[]}', "{broken",
     # Python reads JSON booleans as ints; taken as 1/0 they broke the canonical round trip
     '{"n":3,"edges":[[false,true]]}', '{"n":3,"edges":[[0,true]]}', '{"n":true,"edges":[]}',
+    '{"n":3,"edges":5}', '{"n":3,"edges":null}',
+    pytest.param('{"n": ' + "[" * 100000, id="past-the-decoder-recursion-limit"),
 ])
 def test_parse_rejects_bad_json(bad):
     with pytest.raises(GraphSpecError):
         parse_graph(bad)
+
+
+def test_parse_rejects_undecodable_graph_file(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"n": 2, "edges": [[0, 1]]}\xff')
+    with pytest.raises(GraphSpecError, match="invalid graph JSON in"):
+        parse_graph(f"file:{path}")
 
 
 def test_vertex_count_refused_before_adjacency():

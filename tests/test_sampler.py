@@ -156,12 +156,17 @@ def test_merged_counts_match_batchwise_oracle():
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-def test_block_draws_keep_the_stream(monkeypatch):
-    # draws and bit sets in blocks of 1000 prefixes, against the one-list oracle
-    monkeypatch.setattr(sampler, "_DRAW_BLOCK", 1000)
-    g = generate("grid:4x4")
-    sample = sample_preparation(g, 0.55, 20_000, 5)
-    assert sample.counts == split_sample_counts(g, 0.55, 20_000, 5)
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("spec, p, shots, seed", [
+    ("complete:7", 0.85, 5000, 11),  # slices mix single- and multi-shot prefixes
+    ("grid:4x4", 0.55, 4000, 5),
+])
+def test_block_draws_keep_the_stream(monkeypatch, spec, p, shots, seed, block):
+    # the per-edge pass over slices of ``block`` prefixes, against the one-list oracle
+    monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
+    g = generate(spec)
+    sample = sample_preparation(g, p, shots, seed)
+    assert sample.counts == split_sample_counts(g, p, shots, seed)
 
 
 def test_sample_json_schema():
