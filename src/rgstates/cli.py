@@ -19,7 +19,7 @@ from .errors import GraphSpecError, SizeLimitError
 from .graph import Graph, min_vertex_cover, parse_graph
 from .density import Bipartition, export_density, negativity, randomize, subgraph_space_dimension
 from .witness import (DEFAULT_THRESHOLD_TOL, GME_CONSTANT, gme_threshold,
-                      gme_witness_value, _overlap_at_level)
+                      gme_witness_value, _overlap_function)
 from .lhv import lhv_bound, lhv_threshold
 from .sampler import sample_preparation, _json_pieces
 
@@ -167,10 +167,11 @@ def _value_of(quantity: str, args, g: Graph, points: int):
         return lambda p: dimension() if 0.0 < p < 1.0 else 1
     level = _parse_level(args.level)
     if quantity == "overlap":
-        return lambda p: _overlap_at_level(g, p, level)
+        return _overlap_function(g, level)
     constant = (GME_CONSTANT if quantity == "gme_witness"
                 else _lhv_bound_for(g, args.lhv_bound))
-    return lambda p: constant - _overlap_at_level(g, p, level)
+    overlap = _overlap_function(g, level)
+    return lambda p: constant - overlap(p)
 
 
 # ---------------------------------------------------------------- handlers

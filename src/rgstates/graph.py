@@ -1,4 +1,4 @@
-"""Graphs as immutable edge sets with per-vertex adjacency bitmasks.
+"""Graphs as immutable edge sets; per-vertex adjacency bitmasks on demand.
 
 Vertices are 0-indexed everywhere.  Edges are unordered pairs stored in a
 canonical lexicographic order, which pins down the meaning of edge bitmasks
@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, pairwise
 from math import comb, prod
 from pathlib import Path
 
@@ -39,45 +40,49 @@ def _check_vertex_count(n: int):
 class Graph:
     """Simple undirected graph on ``n`` vertices.
 
-    ``edges`` is normalized to a sorted tuple of ``(i, j)`` pairs with
-    ``i < j``; ``adjacency[v]`` is the neighbor bitmask of vertex ``v``.
+    ``edges`` is normalized to a sorted tuple of ``(i, j)`` pairs with ``i < j``;
+    ``adjacency[v]``, the neighbor bitmask of vertex ``v``, is built on first read.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise GraphSpecError(f"vertex count must be positive, got {self.n}")
         _check_vertex_count(self.n)
         canon = []
-        seen = set()
         for e in self.edges:
             i, j = e
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise GraphSpecError(f"edge {e!r} out of range for n={self.n}")
             if i == j:
                 raise GraphSpecError(f"self-loop at vertex {i}")
-            a, b = (i, j) if i < j else (j, i)
-            if (a, b) in seen:
-                raise GraphSpecError(f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
-            canon.append((a, b))
+            canon.append((i, j) if i < j else (j, i))
         canon.sort()
+        for (a, b), e in pairwise(canon):  # a duplicate sorts next to its twin
+            if (a, b) == e:
+                raise GraphSpecError(f"duplicate edge ({a}, {b})")
         object.__setattr__(self, "edges", tuple(canon))
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
         adj = [0] * self.n
-        for i, j in canon:
+        for i, j in self.edges:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        object.__setattr__(self, "adjacency", tuple(adj))
+        return tuple(adj)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(a.bit_count() for a in self.adjacency)
+        deg = [0] * self.n
+        for i, j in self.edges:
+            deg[i] += 1
+            deg[j] += 1
+        return tuple(deg)
 
 
 def _positive_sizes(parts, spec, minimum=1):
@@ -159,10 +164,8 @@ def class_counts(g: Graph) -> tuple[int, int, int]:
     Returns ``(m1, m2_star, m2_disjoint)``: the number of single edges, of
     vertex-sharing edge pairs, and of disjoint edge pairs.
     """
-    m1 = g.edge_count
     m2_star = sum(comb(d, 2) for d in g.degrees())
-    m2_disjoint = comb(m1, 2) - m2_star
-    return m1, m2_star, m2_disjoint
+    return g.edge_count, m2_star, comb(g.edge_count, 2) - m2_star
 
 
 def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:

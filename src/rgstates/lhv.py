@@ -8,7 +8,7 @@ vertex subset J, the product of the generators X_i Z_N(i) over i in J, is
 
 where e(J) is the number of edges inside J and Gamma J is the XOR of the
 neighbour masks N(i), i in J.  (-1)^e(J) is the graph state's amplitude sign
-at basis string J, read from ``state.graph_state_vector``.  As a Hermitian
+at basis string J; ``state._subset_walk`` gives it and Gamma J.  As a Hermitian
 Pauli string, each of the popcount(J & Gamma J) Y sites of S_J takes a factor
 -i, an even number of them, so its sign is
 (-1)^(e(J) - popcount(J & Gamma J)/2); this gives the stabilizer table.  The
@@ -39,9 +39,9 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .graph import Graph
-from .state import graph_state_vector
+from .state import _subset_walk, graph_state_vector
 from .witness import (DEFAULT_THRESHOLD_TOL, WitnessEvaluation, _check_tol,
-                      _overlap_at_level, _witness_evaluation, find_threshold)
+                      _overlap_function, _witness_evaluation, find_threshold)
 
 MAX_BELL_QUBITS = 10
 MAX_LHV_QUBITS = 12
@@ -92,15 +92,6 @@ def stabilizer_element(g: Graph, j_mask: int) -> StabilizerElement:
     return StabilizerElement(g.n, j_mask, z, 1 - 2 * (exponent & 1))
 
 
-def _subsets_and_z_parts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every vertex subset J in 0..2^n - 1 and its Z part Gamma J, as int64 masks."""
-    subsets = np.arange(1 << g.n, dtype=np.int64)
-    z_parts = np.zeros(1 << g.n, dtype=np.int64)
-    for i, neighbours in enumerate(g.adjacency):  # J | 2^i for the J < 2^i
-        np.bitwise_xor(z_parts[:1 << i], neighbours, out=z_parts[1 << i:2 << i])
-    return subsets, z_parts
-
-
 def _pauli_action(elem: StabilizerElement) -> tuple[np.ndarray, np.ndarray]:
     """Column x of the Pauli string holds one nonzero: ``values[x]`` at ``rows[x]``."""
     idx = np.arange(1 << elem.n, dtype=np.int64)
@@ -142,8 +133,8 @@ def _stabilizer_signs(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The sign is the graph state's sign at J times (-1)^(Y sites / 2).
     """
-    state_signs = graph_state_vector(g).signs  # (-1)^e(J); the state size cap refuses first
-    subsets, z_parts = _subsets_and_z_parts(g)
+    state_signs, z_parts = _subset_walk(g)  # the state size cap refuses first
+    subsets = np.arange(1 << g.n, dtype=np.int64)
     y_pairs = np.bitwise_count(subsets & z_parts).astype(np.int64) >> 1  # 1 - 2 * uint8 wraps
     return state_signs * (1 - 2 * (y_pairs & 1)), subsets, z_parts
 
@@ -197,14 +188,18 @@ def lhv_bound(g: Graph) -> float:
     return float(max(values.max(), -values.min())) / (1 << g.n)
 
 
+def _check_bound(d: float):
+    if not 0.0 < d <= 1.0:
+        raise ValueError(f"classical bound must be in (0, 1], got {d}")
+
+
 def lhv_witness_value(g: Graph, p: float, level, d: float,
                       graph_spec: str | None = None) -> WitnessEvaluation:
     """Expectation of the LHV witness D(g)*1 - |g><g| on the randomized state.
 
     A negative value excludes any local-hidden-variable description.
     """
-    if not 0.0 < d <= 1.0:
-        raise ValueError(f"classical bound must be in (0, 1], got {d}")
+    _check_bound(d)
     return _witness_evaluation(g, p, level, d, graph_spec)
 
 
@@ -217,6 +212,6 @@ def lhv_threshold(g: Graph, level=2, d: float | None = None,
     """
     _check_tol(tol)  # before the 4^n bound search
     bound = lhv_bound(g) if d is None else d
-    if not 0.0 < bound <= 1.0:
-        raise ValueError(f"classical bound must be in (0, 1], got {bound}")
-    return find_threshold(lambda p: bound - _overlap_at_level(g, p, level), tol=tol)
+    _check_bound(bound)
+    overlap = _overlap_function(g, level)
+    return find_threshold(lambda p: bound - overlap(p), tol=tol)

@@ -2,10 +2,10 @@
 
 A graph state's computational-basis amplitudes are all +-2^(-n/2), with sign
 (-1)^|u(x)|, where the excitation pattern u(x) is the set of edges with both
-endpoints set in x.  The F2 kernels live here: the u(x) array, the exact
-signed sum over x by F2 variable elimination (so overlaps are exact dyadic
-rationals), and the Walsh-Hadamard transform, which only
-``density.subgraph_mixture`` uses (for the character table of a mixture).
+endpoints set in x.  The F2 kernels live here: the u(x) array, the walk that
+gives the signs with the stabilizer Z masks, the exact signed sum over x by F2
+variable elimination (so overlaps are exact dyadic rationals), and the
+Walsh-Hadamard transform, which only ``density.subgraph_mixture`` uses.
 """
 
 from __future__ import annotations
@@ -40,16 +40,23 @@ def excitation_patterns(g: Graph) -> np.ndarray:
     return u
 
 
-def graph_state_vector(g: Graph) -> GraphStateVector:
-    """Sign at basis string x = parity of the number of excited edges, |u(x)|."""
+def _subset_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(-1)^(edges inside J) and Gamma J = XOR of N(i), i in J, for every subset J.
+
+    For J < 2^i, Gamma(J + 2^i) = Gamma J ^ N(i), and the sign flips with bit i
+    of Gamma J, the parity of the edges from i into J."""
     if g.n > MAX_STATE_QUBITS:
         raise SizeLimitError(f"state vectors capped at n={MAX_STATE_QUBITS}, got {g.n}")
-    idx = np.arange(1 << g.n, dtype=np.int64)
-    bit = [((idx >> v) & 1).astype(np.int8) for v in range(g.n)]
-    parity = np.zeros(1 << g.n, dtype=np.int8)
-    for i, j in g.edges:
-        parity ^= bit[i] & bit[j]
-    return GraphStateVector(g.n, 1 - 2 * parity)
+    signs, z_parts = np.ones(1 << g.n, dtype=np.int8), np.zeros(1 << g.n, dtype=np.int64)
+    for i, neighbours in enumerate(g.adjacency):  # J + 2^i for the J < 2^i
+        z_parts[1 << i:2 << i] = z_parts[:1 << i] ^ neighbours
+        signs[1 << i:2 << i] = signs[:1 << i] * (1 - 2 * (z_parts[:1 << i] >> i & 1))
+    return signs, z_parts
+
+
+def graph_state_vector(g: Graph) -> GraphStateVector:
+    """Sign at basis string x = parity of the number of excited edges, |u(x)|."""
+    return GraphStateVector(g.n, _subset_walk(g)[0])
 
 
 def walsh_hadamard(a: np.ndarray) -> np.ndarray:

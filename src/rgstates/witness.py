@@ -326,21 +326,24 @@ def _contraction_coefficients(g: Graph, level: int) -> tuple[float, ...]:
     return (1.0, *poly.tolist())
 
 
-def _evaluate_overlap_poly(coeffs, total_edges: int, p: float) -> float:
-    q = 1.0 - p
-    return sum(c * p ** (total_edges - r) * q ** r for r, c in enumerate(coeffs))
-
-
 def _check_p(p: float):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"randomness parameter must be in [0, 1], got {p}")
 
 
+def _overlap_function(g: Graph, level):
+    """p -> overlap at ``level`` ('exact' or an int clamped to |E|); one lookup per query."""
+    edges = g.edge_count
+    top = edges if level == "exact" else min(int(level), edges)
+    if top < 0:
+        raise ValueError(f"level must be in [0, {edges}], got {top}")
+    coeffs = _level_coefficients(g, top)
+    return lambda p: sum(c * p ** (edges - r) * (1.0 - p) ** r for r, c in enumerate(coeffs))
+
+
 def randomization_overlap(g: Graph, p: float) -> float:
     """Fidelity between |g> and its randomization: the full overlap polynomial."""
-    _check_p(p)
-    coeffs = _level_coefficients(g, g.edge_count)
-    return _evaluate_overlap_poly(coeffs, g.edge_count, p)
+    return approx_overlap(g, p, g.edge_count)
 
 
 def approx_overlap(g: Graph, p: float, level: int) -> float:
@@ -348,8 +351,7 @@ def approx_overlap(g: Graph, p: float, level: int) -> float:
     _check_p(p)
     if not 0 <= level <= g.edge_count:
         raise ValueError(f"level must be in [0, {g.edge_count}], got {level}")
-    coeffs = _level_coefficients(g, level)
-    return _evaluate_overlap_poly(coeffs, g.edge_count, p)
+    return _overlap_function(g, level)(p)
 
 
 def approx_overlap_2level(g: Graph, p: float) -> float:
@@ -392,25 +394,14 @@ def overlap_linear_closed(n: int, p: float) -> float:
     return ((1.0 - mu_minus) * mu_plus ** n - (1.0 - mu_plus) * mu_minus ** n) / root
 
 
-def _overlap_at_level(g: Graph, p: float, level) -> float:
-    if level == "exact":
-        return randomization_overlap(g, p)
-    # graphs with fewer edges than the level only have the full truncation
-    return approx_overlap(g, p, min(int(level), g.edge_count))
-
-
 def _witness_evaluation(g: Graph, p: float, level, constant: float,
                         graph_spec: str | None) -> WitnessEvaluation:
     """Evaluate the witness ``constant * 1 - |g><g|`` on the randomized state."""
-    ov = _overlap_at_level(g, p, level)
+    _check_p(p)
+    ov = _overlap_function(g, level)(p)
     return WitnessEvaluation(
-        graph_spec=graph_spec if graph_spec is not None else serialize_graph(g),
-        p=p,
-        level=str(level),
-        overlap_value=ov,
-        witness_value=constant - ov,
-        constant_term=constant,
-    )
+        graph_spec=graph_spec if graph_spec is not None else serialize_graph(g), p=p,
+        level=str(level), overlap_value=ov, witness_value=constant - ov, constant_term=constant)
 
 
 def gme_witness_value(g: Graph, p: float, level="exact",
@@ -460,4 +451,6 @@ def find_threshold(f, bracket=DEFAULT_BRACKET, tol: float = DEFAULT_THRESHOLD_TO
 
 def gme_threshold(g: Graph, level="exact", tol: float = DEFAULT_THRESHOLD_TOL):
     """Randomness threshold above which the (possibly truncated) witness is negative."""
-    return find_threshold(lambda p: GME_CONSTANT - _overlap_at_level(g, p, level), tol=tol)
+    _check_tol(tol)  # before the coefficients
+    overlap = _overlap_function(g, level)
+    return find_threshold(lambda p: GME_CONSTANT - overlap(p), tol=tol)

@@ -96,6 +96,18 @@ def test_sweep_rank_counts_patterns_once(capsys, monkeypatch):
     assert calls == []  # no count is needed at p in {0, 1}
 
 
+def test_sweep_looks_up_coefficients_once(capsys, monkeypatch):
+    levels, cached = [], witness._level_coefficients
+
+    def counted(g, level):
+        levels.append(level)
+        return cached(g, level)
+    monkeypatch.setattr(witness, "_level_coefficients", counted)
+    code, out, _ = run(capsys, "sweep", "--graph", "grid:3x3", "--quantity", "gme_witness",
+                       "--level", "3", "--p-grid", "0:1:0.01")
+    assert (code, len(out.splitlines()), levels) == (0, 102, [3])
+
+
 @pytest.mark.parametrize("argv", [
     ("rank", "--graph", "path:3", "--p", "0.5"),
     ("sweep", "--graph", "path:3", "--quantity", "rank", "--p-grid", "0.5:0.5:0.1"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from rgstates import (Graph, GraphSpecError, SizeLimitError,
-                      class_counts, generate, min_vertex_cover, parse_graph,
+                      class_counts, generate, gme_threshold, min_vertex_cover, parse_graph,
                       serialize_graph, subgraph_from_mask, symmetric_difference)
 from rgstates.graph import MAX_VERTICES, cluster_counts
 from conftest import graphs
@@ -78,12 +78,25 @@ def test_generate_rejects_bad_specs(bad):
 
 
 def test_graph_validation():
-    with pytest.raises(GraphSpecError):
+    with pytest.raises(GraphSpecError, match=r"^edge \(0, 2\) out of range for n=2$"):
         Graph(2, ((0, 2),))
-    with pytest.raises(GraphSpecError):
+    with pytest.raises(GraphSpecError, match="^self-loop at vertex 0$"):
         Graph(2, ((0, 0),))
-    with pytest.raises(GraphSpecError):
+    with pytest.raises(GraphSpecError, match=r"^duplicate edge \(0, 1\)$"):
         Graph(2, ((0, 1), (1, 0)))
+    # reversed, and not next to its twin in input order
+    with pytest.raises(GraphSpecError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(3, ((0, 1), (1, 2), (1, 0)))
+    with pytest.raises(GraphSpecError, match="^vertex count must be positive, got 0$"):
+        Graph(0, ())
+
+
+def test_level_2_threshold_builds_no_adjacency():
+    g = generate("grid:50x50")
+    assert gme_threshold(g, level=2) is not None
+    assert "adjacency" not in vars(g)
+    assert g.adjacency[0] == 0b10 | 1 << 50  # built on first read
+    assert "adjacency" in vars(g)
 
 
 @given(graphs())

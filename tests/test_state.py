@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from rgstates import (Graph, SizeLimitError, closed_form_overlap_sq,
                       empty_overlap, generate, graph_state_vector, overlap,
                       symmetric_difference)
+from rgstates.state import _subset_walk
 from conftest import graphs
 from oracles import brute_empty_overlap, dense_graph_state, random_graph
 
@@ -28,6 +29,25 @@ def test_complete_3_signs():
     # complete:12 has 66 edges, more than one int64 word of excitation bits
     big = graph_state_vector(generate("complete:12"))
     assert all(big.signs[x] == (-1) ** comb(x.bit_count(), 2) for x in range(1 << 12))
+
+
+def test_subset_walk_matches_brute_force():
+    rng = np.random.default_rng(1806)
+    for _ in range(40):
+        g = random_graph(rng, 10, min_n=1)
+        masks = [0] * g.n
+        for i, j in g.edges:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        signs, z_parts = _subset_walk(g)
+        assert signs.dtype == np.int8 and z_parts.dtype == np.int64
+        for subset in range(1 << g.n):
+            gamma = 0
+            for i in range(g.n):
+                if subset >> i & 1:
+                    gamma ^= masks[i]
+            inside = sum(subset >> i & subset >> j & 1 for i, j in g.edges)
+            assert (z_parts[subset], signs[subset]) == (gamma, (-1) ** inside), (g, subset)
 
 
 @given(graphs(max_n=5))

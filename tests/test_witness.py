@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from rgstates import (Graph, SizeLimitError, approx_overlap,
                       approx_overlap_2level, find_threshold, generate,
-                      gme_threshold, gme_witness_value, graph_state_vector,
+                      gme_threshold, gme_witness_value, graph_state_vector, lhv_threshold,
                       overlap_linear_closed, overlap_star_closed, randomize,
                       randomization_overlap, witness)
 from rgstates.state import signed_sum
@@ -368,6 +368,21 @@ def test_gme_threshold_chain():
         p_f = gme_threshold(g, level=2)
         assert p_w is not None and p_f is not None
         assert p_w <= p_f + 1e-9
+
+
+def test_thresholds_look_up_coefficients_once(monkeypatch):
+    levels = []
+
+    def counted(g, level):
+        levels.append(level)
+        return _level_coefficients(g, level)
+    monkeypatch.setattr(witness, "_level_coefficients", counted)
+    g = generate("grid:3x4")
+    assert gme_threshold(g) is not None and levels == [g.edge_count]
+    levels.clear()
+    assert gme_threshold(g, level=3) is not None and levels == [3]
+    levels.clear()
+    assert lhv_threshold(g, d=0.4) is not None and levels == [2]
 
 
 def test_cycle3_thresholds_coincide():
