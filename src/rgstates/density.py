@@ -2,9 +2,10 @@
 
 All density matrices here are real symmetric in the computational basis
 (every spanning-subgraph projector is), so storage is real float64 and the
-single numerical kernel is the symmetric eigendecomposition.  Every mixture
-of subgraph projectors has entries 2^-n * chi[u(x) XOR u(y)], built from the
-excitation patterns u(x) and a character table chi over edge masks.
+single numerical kernel is the symmetric eigendecomposition.  A mixture of
+subgraph projectors reads the excitation patterns u(x) through u(x) XOR u(y)
+alone: ``randomize`` is 2^-n q^popcount(u(x) XOR u(y)), q = 1 - 2p, and
+``subgraph_mixture`` gathers from the Walsh-Hadamard transform of its weights.
 
 Such a matrix repeats rows: rho has one distinct row per pattern u(x), and
 many rows of its partial transpose repeat too.  The eigensolve therefore
@@ -96,20 +97,10 @@ class Bipartition:
         return ((1 << self.n) - 1) ^ self.side_a
 
 
-def _check_density_caps(g: Graph):
+def _check_qubits(g: Graph):
     if g.n > MAX_DENSITY_QUBITS:
         raise SizeLimitError(
-            f"dense matrices capped at n={MAX_DENSITY_QUBITS}, got {g.n}")
-    if g.edge_count > MAX_DENSITY_EDGES:
-        raise SizeLimitError(
-            f"subgraph mixtures capped at |E|={MAX_DENSITY_EDGES}, got {g.edge_count}")
-
-
-def _pattern_density(g: Graph, chi: np.ndarray) -> DensityMatrix:
-    """rho_xy = 2^-n * chi[u(x) XOR u(y)] for a character table over edge masks."""
-    u = excitation_patterns(g)
-    chi = chi / (1 << g.n)  # scaled before the gather: no third 4^n temporary
-    return DensityMatrix(g.n, chi[u[:, None] ^ u[None, :]])
+            f"dense 2^n tables capped at n={MAX_DENSITY_QUBITS}, got {g.n}")
 
 
 def subgraph_mixture(g: Graph, weights) -> DensityMatrix:
@@ -119,23 +110,31 @@ def subgraph_mixture(g: Graph, weights) -> DensityMatrix:
     <x|F_m><F_m|y> = 2^-n (-1)^popcount(m & (u(x) XOR u(y))), the mixture's
     character table is the Walsh-Hadamard transform of the weight vector.
     """
-    _check_density_caps(g)
+    _check_qubits(g)
+    if g.edge_count > MAX_DENSITY_EDGES:
+        raise SizeLimitError(
+            f"subgraph mixtures capped at |E|={MAX_DENSITY_EDGES}, got {g.edge_count}")
     w = np.zeros(1 << g.edge_count)
     for mask, weight in weights.items():
         w[mask] = weight
-    return _pattern_density(g, walsh_hadamard(w))
+    chi = walsh_hadamard(w) / (1 << g.n)  # scaled before the gather: no third 4^n temporary
+    u = excitation_patterns(g)
+    return DensityMatrix(g.n, chi[u[:, None] ^ u[None, :]])
 
 
 def randomize(g: Graph, p: float) -> DensityMatrix:
     """Binomial mixture of all spanning-subgraph projectors of ``g``.
 
     Each edge of ``g`` is kept independently with probability ``p``, which
-    dephases it independently: the character table is (1-2p)^popcount(z).
+    dephases it independently by q = 1 - 2p: rho_xy = 2^-n q^popcount(u(x)
+    XOR u(y)), gathered from the |E| + 1 powers of q (|E| <= 63, one word).
     """
     _check_p(p)
-    _check_density_caps(g)
-    masks = np.arange(1 << g.edge_count, dtype=np.int64)
-    return _pattern_density(g, (1.0 - 2.0 * p) ** np.bitwise_count(masks))
+    _check_qubits(g)
+    u = excitation_patterns(g)
+    powers = (1.0 - 2.0 * p) ** np.arange(g.edge_count + 1) / (1 << g.n)
+    counts = u[:, None] ^ u[None, :]  # popcounts written over it: one 4^n index array
+    return DensityMatrix(g.n, powers[np.bitwise_count(counts, out=counts)])
 
 
 def randomized_bell(p: float) -> DensityMatrix:
@@ -240,9 +239,7 @@ def subgraph_space_dimension(g: Graph) -> int:
     number of distinct excitation patterns, counted as the value changes of
     the sorted patterns (a plain ``np.unique`` would import ``numpy.ma``).
     """
-    if g.n > MAX_DENSITY_QUBITS:
-        raise SizeLimitError(
-            f"subgraph space dimension capped at n={MAX_DENSITY_QUBITS}, got {g.n}")
+    _check_qubits(g)
     u = excitation_patterns(g)
     u.sort()
     return 1 + int(np.count_nonzero(u[1:] != u[:-1]))

@@ -1,4 +1,4 @@
-"""Graphs as immutable edge sets; per-vertex adjacency bitmasks on demand.
+"""Graphs as immutable edge sets; adjacency bitmasks and degrees on demand.
 
 Vertices are 0-indexed everywhere.  Edges are unordered pairs stored in a
 canonical lexicographic order, which pins down the meaning of edge bitmasks
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, pairwise
@@ -41,7 +42,8 @@ class Graph:
     """Simple undirected graph on ``n`` vertices.
 
     ``edges`` is normalized to a sorted tuple of ``(i, j)`` pairs with ``i < j``;
-    ``adjacency[v]``, the neighbor bitmask of vertex ``v``, is built on first read.
+    ``adjacency[v]``, the neighbor bitmask of vertex ``v``, the ``degrees`` and
+    the ``star_counts`` derived from them are each built once, on first read.
     """
 
     n: int
@@ -77,12 +79,19 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for i, j in self.edges:
             deg[i] += 1
             deg[j] += 1
         return tuple(deg)
+
+    @cached_property
+    def star_counts(self) -> tuple[int, int, int]:
+        """Subgraphs K1,2 (= P3), K1,3 and K1,4: sum_v C(d_v, k) for k = 2, 3, 4."""
+        histogram = Counter(self.degrees).items()
+        return tuple(sum(c * comb(d, k) for d, c in histogram) for k in (2, 3, 4))
 
 
 def _positive_sizes(parts, spec, minimum=1):
@@ -164,7 +173,7 @@ def class_counts(g: Graph) -> tuple[int, int, int]:
     Returns ``(m1, m2_star, m2_disjoint)``: the number of single edges, of
     vertex-sharing edge pairs, and of disjoint edge pairs.
     """
-    m2_star = sum(comb(d, 2) for d in g.degrees())
+    m2_star = g.star_counts[0]
     return g.edge_count, m2_star, comb(g.edge_count, 2) - m2_star
 
 
@@ -179,11 +188,11 @@ def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:
     C4 = sum_(u<w) C(c_uw, 2) / 2.  The work is about sum_v d_v neighbour
     popcounts up to three edges and sum_v d_v^2 at four.
     """
-    m1, m2_star, _ = class_counts(g)
-    counts = {"K2": m1, "P3": m2_star}
+    p3, k13, k14 = g.star_counts
+    counts = {"K2": g.edge_count, "P3": p3}
     if max_edges < 3:
         return counts
-    adj, deg = g.adjacency, g.degrees()
+    adj, deg = g.adjacency, g.degrees
     twice_t = [0] * g.n  # 2 t_v: common neighbours summed over the edges at v
     p4 = chair = 0
     arms, arms_sq = [0] * g.n, [0] * g.n  # sum and square sum of d_b - 1, b ~ v
@@ -199,8 +208,7 @@ def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:
         arms_sq[u] += dv * dv
         arms_sq[v] += du * du
     triangles = sum(twice_t) // 6
-    counts.update({"P4": p4 - 3 * triangles, "K1,3": sum(comb(d, 3) for d in deg),
-                   "K3": triangles})
+    counts.update({"P4": p4 - 3 * triangles, "K1,3": k13, "K3": triangles})
     if max_edges < 4:
         return counts
     neighbours = [[] for _ in range(g.n)]
@@ -221,7 +229,7 @@ def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:
     p5 = (sum((s * s - q) // 2 for s, q in zip(arms, arms_sq))
           - sum(t * d for t, d in zip(twice_t, deg)) + 9 * triangles - 4 * c4)
     counts.update({"P5": p5, "chair": chair - 2 * paw,
-                   "K1,4": sum(comb(d, 4) for d in deg), "C4": c4, "paw": paw})
+                   "K1,4": k14, "C4": c4, "paw": paw})
     return counts
 
 

@@ -17,10 +17,10 @@ its entry (r, c) is s_r s_c / 2^n with s the same sign vector.
 
 The classical bound maximizes the Bell operator over all noncontextual +-1
 assignments to the local X, Y, Z observables.  Both the classical bound and
-single assignment values read one stabilizer table: a sign and a per-qubit
-Pauli code (I, X, Z, Y) for each of the 2^n elements.  An assignment's value
-is a product of per-qubit local values, so the sum over elements contracts
-one qubit at a time.
+single assignment values read one stabilizer table: for each of the 2^n
+elements a sign and a base-4 cell index, whose digit k is the Pauli code
+(I, X, Z, Y) at qubit k.  An assignment's value is a product of per-qubit
+local values, so the sum over elements contracts one qubit at a time.
 
 The search is gauge-fixed to a_z = +1 on every qubit, 4^n of the 8^n
 assignments.  Flip the local values that anticommute with a stabilizer
@@ -128,60 +128,54 @@ def bell_operator_matrix(g: Graph) -> np.ndarray:
     return np.outer(signs, signs * (1.0 / (1 << g.n)))
 
 
-def _stabilizer_signs(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signs of all 2^n stabilizer elements, with their masks J and Gamma J.
+def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and Pauli cells of all 2^n stabilizer elements.
 
-    The sign is the graph state's sign at J times (-1)^(Y sites / 2).
+    The sign is the graph state's sign at J times (-1)^(Y sites / 2).  The
+    cell of element J is a base-4 number whose digit k, x_k + 2 z_k read
+    from J and Gamma J, is 0, 1, 2, 3 for I, X, Z, Y at qubit k.
     """
     state_signs, z_parts = _subset_walk(g)  # the state size cap refuses first
     subsets = np.arange(1 << g.n, dtype=np.int64)
     y_pairs = np.bitwise_count(subsets & z_parts).astype(np.int64) >> 1  # 1 - 2 * uint8 wraps
-    return state_signs * (1 - 2 * (y_pairs & 1)), subsets, z_parts
-
-
-def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and Pauli codes of all 2^n stabilizer elements.
-
-    ``paulis[J, k] = x_k + 2 z_k`` of element J is 0, 1, 2, 3 for I, X, Z, Y.
-    """
-    signs, subsets, z_parts = _stabilizer_signs(g)
-    sites = np.arange(g.n)
-    paulis = (subsets[:, None] >> sites & 1) + 2 * (z_parts[:, None] >> sites & 1)
-    return signs, paulis
+    cells = np.zeros_like(subsets)
+    for k in range(g.n):
+        cells |= ((subsets >> k & 1) + 2 * (z_parts >> k & 1)) << 2 * k
+    return state_signs * (1 - 2 * (y_pairs & 1)), cells
 
 
 def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
     """Value of the Bell operator under one noncontextual assignment.
 
     Each element's term is its sign times the local value of its Pauli code
-    at every qubit; the qubits are multiplied in one at a time, read from
-    the J and Gamma J masks, so only vectors of length 2^n are held.
+    at every qubit; the qubits are multiplied in one at a time, each read as
+    one base-4 digit of the cells, so only vectors of length 2^n are held.
     """
     if len(assignment.a_x) != g.n:
         raise ValueError(f"assignment is for {len(assignment.a_x)} qubits, graph has {g.n}")
-    terms, subsets, z_parts = _stabilizer_signs(g)
+    terms, cells = _stabilizer_table(g)
     local = np.array([(1,) * g.n, assignment.a_x, assignment.a_z, assignment.a_y])
     for k in range(g.n):
-        terms *= local[(subsets >> k & 1) + 2 * (z_parts >> k & 1), k]
+        terms *= local[cells >> 2 * k & 3, k]
     return float(terms.sum()) / (1 << g.n)
 
 
 def lhv_bound(g: Graph) -> float:
     """Classical bound D(g): max |<B>| over all noncontextual assignments.
 
-    The element signs are written into a (4,)*n tensor indexed by Pauli
-    code; the X part of element J is J itself, so no two share a cell;
-    contracting each qubit's axis with the 4x4 local-value table of a_z = +1
-    gives the value of each of the 4^n gauge-fixed assignments, which take
-    every value that the 8^n assignments take.  Every partial sum is an
-    integer of modulus <= 2^n <= 2^12 < 2^24, so float32 holds it exactly at
-    half the memory of float64.
+    The element signs are put at their cells of a (4,)*n tensor, one axis
+    per qubit (qubit n-1 first); the X part of element J is J itself, so no
+    two share a cell.  Contracting each qubit's axis with the 4x4 local-value
+    table of a_z = +1 gives the value of each of the 4^n gauge-fixed
+    assignments, which take every value the 8^n assignments take.  Every
+    partial sum is an integer of modulus <= 2^n <= 2^12 < 2^24, so float32
+    holds it exactly at half the memory of float64.
     """
     if g.n > MAX_LHV_QUBITS:
         raise SizeLimitError(f"LHV search capped at n={MAX_LHV_QUBITS}, got {g.n}")
-    signs, paulis = _stabilizer_table(g)
+    signs, cells = _stabilizer_table(g)
     values = np.zeros((4,) * g.n, dtype=np.float32)
-    values[tuple(paulis.T)] = signs
+    np.put(values, cells, signs)  # cells index the flat array
     for _ in range(g.n):  # the leading axis is always the next qubit's
         values = np.tensordot(values, _LOCAL_VALUES, axes=(0, 1))
     # no np.abs: that would be another 4^n temporary

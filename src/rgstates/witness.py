@@ -271,7 +271,7 @@ def _cluster_coefficients(g: Graph, level: int) -> tuple[float, ...]:
     counts' neighbour popcounts, sum_v d_v (sum_v d_v^2 at level 4), are
     over ``MAX_CLUSTER_WORK``.
     """
-    work = sum(d * d if level >= 4 else d for d in g.degrees())
+    work = 2 * (g.edge_count + (g.star_counts[0] if level >= 4 else 0))  # d^2 = 2 C(d, 2) + d
     if work > MAX_CLUSTER_WORK:
         raise SizeLimitError(
             f"level-{level} cluster counts need about {work} neighbour popcounts;"

@@ -7,10 +7,10 @@ and contraction code paths.  There are two exceptions.  The per-subset
 overlaps of ``brute_level_coefficients`` come from ``state.signed_sum``
 (checked against per-string counting through ``empty_overlap`` in
 test_state.py), because per-string counting over 2^|E| subsets is too slow
-for |E| = 17.  ``full_lhv_bound`` reads ``lhv._stabilizer_table`` (checked
-against dense generator products through ``brute_lhv_bound`` and
-``brute_bell_expectation`` in test_lhv.py), because evaluating the 8^n
-assignments one at a time in Python is too slow at n = 8.
+for |E| = 17.  ``full_lhv_bound`` reads the signs and base-4 Pauli cells of
+``lhv._stabilizer_table`` (checked against dense generator products through
+``brute_lhv_bound`` and ``brute_bell_expectation`` in test_lhv.py), because
+evaluating the 8^n assignments one at a time in Python is too slow at n = 8.
 """
 
 import itertools
@@ -214,14 +214,30 @@ def full_lhv_bound(g):
     The package's stabilizer table is contracted qubit by qubit with all
     eight local sign choices, so the result checks only the gauge fixing.
     """
-    signs, paulis = _stabilizer_table(g)
+    signs, cells = _stabilizer_table(g)
     local = np.array([(1, a_x, a_z, a_y) for a_x in (1, -1)
                       for a_y in (1, -1) for a_z in (1, -1)], dtype=np.float32)
-    values = np.zeros((4,) * g.n, dtype=np.float32)
-    np.add.at(values, tuple(paulis.T), signs)
+    values = np.zeros(4 ** g.n, dtype=np.float32)
+    np.add.at(values, cells, signs)
+    values = values.reshape((4,) * g.n)
     for _ in range(g.n):
         values = np.tensordot(values, local, axes=(0, 1))
     return float(max(values.max(), -values.min())) / (1 << g.n)
+
+
+def dephased_density(g, p):
+    """|+><+|^n with each edge's CZ applied with probability p, one edge at a time.
+
+    The CZ of edge e multiplies entry (x, y) by s_e(x) s_e(y), with
+    s_e(x) = (-1)^(x_i x_j), so each edge maps rho to
+    p (s_e s_e^T) o rho + (1 - p) rho.
+    """
+    x = np.arange(1 << g.n)
+    rho = np.full((1 << g.n, 1 << g.n), 1.0 / (1 << g.n))
+    for i, j in g.edges:
+        s = 1.0 - 2.0 * ((x >> i) & (x >> j) & 1)
+        rho = p * np.outer(s, s) * rho + (1.0 - p) * rho
+    return rho
 
 
 def connected(g):

@@ -231,6 +231,15 @@ def test_negativity_subcommand(capsys):
     assert json.loads(out)["negativity"] > 0.4
 
 
+def test_negativity_of_complete_graphs_past_24_edges(capsys):
+    cut = ("--bipartition", "0,1,2,3|4,5,6,7,8")
+    assert run(capsys, "negativity", "--graph", "complete:9", "--p", "1", *cut) == (
+        0, '{"negativity": 0.5}\n', "")
+    code, out, err = run(capsys, "negativity", "--graph", "complete:12", "--p", "1",
+                         "--bipartition", "0|1,2,3,4,5,6,7,8,9,10,11")
+    assert (code, out, err) == (1, "", "error: u(x) holds at most |E|=63, got 66\n")
+
+
 def test_negativity_rejects_bad_bipartition(capsys):
     for bad in ("0|1", "0,1|1,2", "0;1", "0,9|1,2", "0,0|1,2"):
         code, out, err = run(capsys, "negativity", "--graph", "complete:3",

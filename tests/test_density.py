@@ -11,7 +11,7 @@ from rgstates import (Bipartition, DensityMatrix, Graph, SizeLimitError,
                       sample_preparation, subgraph_mixture,
                       subgraph_space_dimension)
 from conftest import graphs
-from oracles import (brute_mixture, brute_subgraph_dimension, connected,
+from oracles import (brute_mixture, brute_subgraph_dimension, connected, dephased_density,
                      full_spectrum, index_swap_transpose, random_graph)
 
 EDGE = Graph(2, ((0, 1),))
@@ -57,8 +57,35 @@ def test_randomize_validation():
         randomize(EDGE, 1.5)
     with pytest.raises(SizeLimitError):
         randomize(generate("empty:13"), 0.5)
-    with pytest.raises(SizeLimitError):
-        randomize(generate("complete:8"), 0.5)  # 28 edges
+    with pytest.raises(SizeLimitError, match=r"at most \|E\|=63, got 66"):
+        randomize(generate("complete:12"), 0.5)  # u(x) is one 63-bit word
+
+
+def test_randomize_matches_edge_by_edge_dephasing():
+    rng = np.random.default_rng(1931)
+    cases = [generate("complete:8"), generate("complete:9")]
+    while len(cases) < 8:  # |E| from 25 to 36, past the old 2^|E| table's cap
+        n = int(rng.integers(8, 10))
+        pairs = list(itertools.combinations(range(n), 2))
+        count = int(rng.integers(25, min(36, len(pairs)) + 1))
+        chosen = rng.choice(len(pairs), size=count, replace=False)
+        cases.append(Graph(n, tuple(pairs[k] for k in chosen)))
+    for g in cases:
+        assert 25 <= g.edge_count <= 36
+        for p in (0.0, 0.5, float(rng.uniform(0.05, 0.95)), 1.0):
+            assert np.allclose(randomize(g, p).entries, dephased_density(g, p),
+                               rtol=1e-12, atol=1e-300), (g, p)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_complete_graph_negativity_endpoints(n):
+    # GHZ class: every proper cut has negativity (2^1 - 1)/2 at p = 1, none at p = 0
+    g = generate(f"complete:{n}")
+    one, zero = randomize(g, 1.0), randomize(g, 0.0)
+    for side_a in (0b1, 0b11, (1 << n // 2) - 1, 0b1010101, (1 << n - 1) - 1):
+        cut = Bipartition(n, side_a)
+        assert negativity(one, cut) == pytest.approx(0.5, abs=1e-12), side_a
+        assert negativity(zero, cut) == pytest.approx(0.0, abs=1e-12), side_a
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
@@ -315,8 +342,6 @@ def test_merged_spectra_match_full_oracle():
     rng = np.random.default_rng(23)
     for _ in range(12):
         g = random_graph(rng, 8)
-        if g.edge_count > density.MAX_DENSITY_EDGES:
-            continue
         cuts = _random_cuts(rng, g.n)
         for p in (0.0, float(rng.uniform(0.02, 0.98)), 1.0):
             _assert_spectra_match_oracle(randomize(g, p), cuts)
@@ -393,8 +418,6 @@ def test_merge_finds_every_repeated_row():
     rng = np.random.default_rng(41)
     for _ in range(8):
         g = random_graph(rng, 8, min_n=3)
-        if g.edge_count > density.MAX_DENSITY_EDGES:
-            continue
         for p in (0.5, 1.0, float(rng.uniform(0.05, 0.95))):
             rho = randomize(g, p)
             cut = Bipartition(g.n, int(rng.integers(1, (1 << g.n) - 1)))

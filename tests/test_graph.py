@@ -1,15 +1,16 @@
 import itertools
 import json
-from math import prod
+from math import comb, prod
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from rgstates import (Graph, GraphSpecError, SizeLimitError,
-                      class_counts, generate, gme_threshold, min_vertex_cover, parse_graph,
-                      serialize_graph, subgraph_from_mask, symmetric_difference)
+from rgstates import (Graph, GraphSpecError, SizeLimitError, approx_overlap_2level,
+                      class_counts, find_threshold, generate, gme_threshold, min_vertex_cover,
+                      parse_graph, serialize_graph, subgraph_from_mask, symmetric_difference)
 from rgstates.graph import MAX_VERTICES, cluster_counts
+from rgstates.witness import _cluster_coefficients
 from conftest import graphs
 from oracles import (CLUSTER_TYPE_EDGES, brute_class_counts, brute_lattice_edges,
                      brute_min_vertex_cover, brute_type_counts, random_graph)
@@ -24,7 +25,7 @@ def test_generate_complete_3():
 def test_generate_star_4():
     g = generate("star:4")
     assert g.edges == ((0, 1), (0, 2), (0, 3))
-    assert sorted(g.degrees(), reverse=True) == [3, 1, 1, 1]
+    assert sorted(g.degrees, reverse=True) == [3, 1, 1, 1]
 
 
 def test_generate_grid_2x3():
@@ -38,7 +39,7 @@ def test_generate_grid3():
     g = generate("grid3:2x2x2")
     assert g.n == 8
     assert g.edge_count == 12
-    assert all(d == 3 for d in g.degrees())
+    assert all(d == 3 for d in g.degrees)
 
 
 def test_lattice_families_match_brute_force():
@@ -99,9 +100,23 @@ def test_level_2_threshold_builds_no_adjacency():
     assert "adjacency" in vars(g)
 
 
+def test_degree_pass_runs_once_per_graph(monkeypatch):
+    passes = []
+    degree_pass = Graph.degrees.func
+    monkeypatch.setattr(Graph.degrees, "func", lambda g: passes.append(g) or degree_pass(g))
+    g = generate("grid:12x12")
+    p_f = find_threshold(lambda p: 0.5 - approx_overlap_2level(g, p))  # about 31 calls
+    assert p_f is not None
+    assert cluster_counts(g, 4)["K1,4"] == 10 * 10  # one per interior vertex
+    assert _cluster_coefficients(g, 4)[0] == 1
+    assert class_counts(g) == brute_class_counts(g)
+    assert passes == [g]
+    assert g.star_counts == tuple(sum(comb(d, k) for d in g.degrees) for k in (2, 3, 4))
+
+
 @given(graphs())
 def test_handshake(g):
-    assert sum(g.degrees()) == 2 * g.edge_count
+    assert sum(g.degrees) == 2 * g.edge_count
 
 
 def test_symmetric_difference_examples():
