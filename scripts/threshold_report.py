@@ -12,8 +12,7 @@ Usage: python scripts/threshold_report.py [--max-n 8]
 
 import argparse
 
-from rgstates import generate, gme_threshold, lhv_bound, lhv_threshold
-from rgstates.lhv import MAX_LHV_QUBITS
+from rgstates import SizeLimitError, generate, gme_threshold, lhv_bound, lhv_threshold
 
 
 def fmt(value, digits=6):
@@ -32,7 +31,10 @@ def main():
             g = generate(f"{family}:{n}")
             p_w = gme_threshold(g)
             p_f = gme_threshold(g, level=2)
-            d = lhv_bound(g) if g.n <= MAX_LHV_QUBITS else None
+            try:
+                d = lhv_bound(g)
+            except SizeLimitError:
+                d = None
             p_lhv = lhv_threshold(g, level=2, d=d) if d is not None else None
             d_text = f"{d:.4f}" if d is not None else "  n/a"
             print(f"{family + ':' + str(n):>10}  {fmt(p_w):>8}  {fmt(p_f):>8}"

@@ -31,15 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import check_table
 from .graph import Graph
 from .state import excitation_patterns, walsh_hadamard
 from .witness import _check_p, _check_tol
 
-MAX_DENSITY_QUBITS = 12
-MAX_DENSITY_EDGES = 24
 RANK_TOL = 1e-10
-_ROW_BLOCK = 64  # rows hashed, verified or scaled per step: no full-size temporary
+_ROW_BLOCK = 64  # rows gathered, hashed, verified or scaled per step: no full-size temporary
 
 
 def _is_symmetric(e: np.ndarray) -> bool:
@@ -97,10 +95,21 @@ class Bipartition:
         return ((1 << self.n) - 1) ^ self.side_a
 
 
-def _check_qubits(g: Graph):
-    if g.n > MAX_DENSITY_QUBITS:
-        raise SizeLimitError(
-            f"dense 2^n tables capped at n={MAX_DENSITY_QUBITS}, got {g.n}")
+def _pattern_gather(g: Graph, table: np.ndarray, popcount: bool) -> DensityMatrix:
+    """rho_xy = table[u(x) XOR u(y)], or table[popcount(u(x) XOR u(y))].
+
+    rho, checked against the table budget by the callers, is filled a block
+    of rows at a time through one reused int64 index buffer, not a 4^n one.
+    """
+    dim, u = 1 << g.n, excitation_patterns(g)
+    rows = min(dim, _ROW_BLOCK)  # divides 2^n: every block is full
+    rho, index = np.empty((dim, dim)), np.empty((rows, dim), dtype=np.int64)
+    for a in range(0, dim, rows):
+        np.bitwise_xor(u[a:a + rows, None], u, out=index)
+        if popcount:
+            np.bitwise_count(index, out=index)
+        np.take(table, index, out=rho[a:a + rows], mode="clip")  # clip: no buffered copy
+    return DensityMatrix(g.n, rho)
 
 
 def subgraph_mixture(g: Graph, weights) -> DensityMatrix:
@@ -110,16 +119,12 @@ def subgraph_mixture(g: Graph, weights) -> DensityMatrix:
     <x|F_m><F_m|y> = 2^-n (-1)^popcount(m & (u(x) XOR u(y))), the mixture's
     character table is the Walsh-Hadamard transform of the weight vector.
     """
-    _check_qubits(g)
-    if g.edge_count > MAX_DENSITY_EDGES:
-        raise SizeLimitError(
-            f"subgraph mixtures capped at |E|={MAX_DENSITY_EDGES}, got {g.edge_count}")
+    check_table(f"density matrix of n={g.n}", 1 << 2 * g.n, 8)
+    check_table(f"mixture weights of |E|={g.edge_count}", 1 << g.edge_count, 8)
     w = np.zeros(1 << g.edge_count)
     for mask, weight in weights.items():
         w[mask] = weight
-    chi = walsh_hadamard(w) / (1 << g.n)  # scaled before the gather: no third 4^n temporary
-    u = excitation_patterns(g)
-    return DensityMatrix(g.n, chi[u[:, None] ^ u[None, :]])
+    return _pattern_gather(g, walsh_hadamard(w) / (1 << g.n), popcount=False)
 
 
 def randomize(g: Graph, p: float) -> DensityMatrix:
@@ -130,11 +135,9 @@ def randomize(g: Graph, p: float) -> DensityMatrix:
     XOR u(y)), gathered from the |E| + 1 powers of q (|E| <= 63, one word).
     """
     _check_p(p)
-    _check_qubits(g)
-    u = excitation_patterns(g)
+    check_table(f"density matrix of n={g.n}", 1 << 2 * g.n, 8)
     powers = (1.0 - 2.0 * p) ** np.arange(g.edge_count + 1) / (1 << g.n)
-    counts = u[:, None] ^ u[None, :]  # popcounts written over it: one 4^n index array
-    return DensityMatrix(g.n, powers[np.bitwise_count(counts, out=counts)])
+    return _pattern_gather(g, powers, popcount=True)
 
 
 def randomized_bell(p: float) -> DensityMatrix:
@@ -239,7 +242,6 @@ def subgraph_space_dimension(g: Graph) -> int:
     number of distinct excitation patterns, counted as the value changes of
     the sorted patterns (a plain ``np.unique`` would import ``numpy.ma``).
     """
-    _check_qubits(g)
     u = excitation_patterns(g)
     u.sort()
     return 1 + int(np.count_nonzero(u[1:] != u[:-1]))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GraphSpecError, SizeLimitError
+from .errors import GraphSpecError, SizeLimitError, check_table
 
 # Exact minimum-vertex-cover search is capped; it only serves as an upper
 # bound on persistency, never as a large-scale primitive.
@@ -53,6 +53,7 @@ class Graph:
         if self.n < 1:
             raise GraphSpecError(f"vertex count must be positive, got {self.n}")
         _check_vertex_count(self.n)
+        check_table(f"edge list of n={self.n}", len(self.edges), 16)  # int64 pairs
         canon = []
         for e in self.edges:
             i, j = e
@@ -127,8 +128,8 @@ def generate(spec: str) -> Graph:
     Families: ``empty:N``, ``complete:N``, ``star:N`` (center = vertex 0),
     ``path:N``, ``cycle:N`` (N >= 3), ``grid:MxN``, ``grid3:IxJxK``.  The
     last four are one nearest-neighbour lattice in 1, 2 or 3 dimensions,
-    numbered row-major, with ``cycle`` closed into a ring.  The vertex cap is
-    checked before any edge is listed.
+    numbered row-major, with ``cycle`` closed into a ring.  The vertex cap and
+    the edge list's table budget are checked before any edge is listed.
     """
     m = _FAMILY_RE.match(spec.strip())
     if not m:
@@ -143,6 +144,9 @@ def generate(spec: str) -> Graph:
     sizes = _positive_sizes(parts, spec, minimum=3 if family == "cycle" else 1)
     n = prod(sizes)
     _check_vertex_count(n)
+    lattice = sum((s - 1) * n // s for s in sizes) + (family == "cycle")
+    edges = {"empty": 0, "complete": comb(n, 2), "star": n - 1}.get(family, lattice)
+    check_table(f"edge list of n={n}", edges, 16)
     if family == "empty":
         return Graph(n, ())
     if family == "complete":
@@ -165,16 +169,6 @@ def subgraph_from_mask(g: Graph, bits: int) -> Graph:
         raise ValueError(f"mask {bits:#x} does not fit {g.edge_count} edges")
     kept = tuple(e for k, e in enumerate(g.edges) if (bits >> k) & 1)
     return Graph(g.n, kept)
-
-
-def class_counts(g: Graph) -> tuple[int, int, int]:
-    """Cardinalities of the 1- and 2-edge subset classes of ``g``.
-
-    Returns ``(m1, m2_star, m2_disjoint)``: the number of single edges, of
-    vertex-sharing edge pairs, and of disjoint edge pairs.
-    """
-    m2_star = g.star_counts[0]
-    return g.edge_count, m2_star, comb(g.edge_count, 2) - m2_star
 
 
 def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:

@@ -37,14 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import check_table
 from .graph import Graph
 from .state import _subset_walk, graph_state_vector
 from .witness import (DEFAULT_THRESHOLD_TOL, WitnessEvaluation, _check_tol,
                       _overlap_function, _witness_evaluation, find_threshold)
-
-MAX_BELL_QUBITS = 10
-MAX_LHV_QUBITS = 12
 
 # row b: values of (I, X, Z, Y) under the b-th local sign choice with a_z = +1;
 # the a_z = -1 choices repeat these values (module docstring), so they are left out
@@ -103,6 +100,7 @@ def _pauli_action(elem: StabilizerElement) -> tuple[np.ndarray, np.ndarray]:
 def stabilizer_matrix(elem: StabilizerElement) -> np.ndarray:
     """Dense complex matrix of a stabilizer element."""
     dim = 1 << elem.n
+    check_table(f"stabilizer matrix of n={elem.n}", dim * dim, 16)
     rows, values = _pauli_action(elem)
     m = np.zeros((dim, dim), dtype=complex)
     m[rows, np.arange(dim)] = values
@@ -122,8 +120,7 @@ def bell_operator_matrix(g: Graph) -> np.ndarray:
 
     Entry (r, c) is s_r s_c / 2^n, with s the state's sign vector.
     """
-    if g.n > MAX_BELL_QUBITS:
-        raise SizeLimitError(f"Bell operator capped at n={MAX_BELL_QUBITS}, got {g.n}")
+    check_table(f"Bell operator of n={g.n}", 1 << 2 * g.n, 8)
     signs = graph_state_vector(g).signs
     return np.outer(signs, signs * (1.0 / (1 << g.n)))
 
@@ -135,7 +132,7 @@ def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     cell of element J is a base-4 number whose digit k, x_k + 2 z_k read
     from J and Gamma J, is 0, 1, 2, 3 for I, X, Z, Y at qubit k.
     """
-    state_signs, z_parts = _subset_walk(g)  # the state size cap refuses first
+    state_signs, z_parts = _subset_walk(g)  # its table check covers the 2^n tables here
     subsets = np.arange(1 << g.n, dtype=np.int64)
     y_pairs = np.bitwise_count(subsets & z_parts).astype(np.int64) >> 1  # 1 - 2 * uint8 wraps
     cells = np.zeros_like(subsets)
@@ -168,11 +165,10 @@ def lhv_bound(g: Graph) -> float:
     two share a cell.  Contracting each qubit's axis with the 4x4 local-value
     table of a_z = +1 gives the value of each of the 4^n gauge-fixed
     assignments, which take every value the 8^n assignments take.  Every
-    partial sum is an integer of modulus <= 2^n <= 2^12 < 2^24, so float32
-    holds it exactly at half the memory of float64.
+    partial sum is an integer of modulus <= 2^n <= 2^12 < 2^24 (the table
+    budget), so float32 holds it exactly at half the memory of float64.
     """
-    if g.n > MAX_LHV_QUBITS:
-        raise SizeLimitError(f"LHV search capped at n={MAX_LHV_QUBITS}, got {g.n}")
+    check_table(f"LHV value tensor of n={g.n}", 1 << 2 * g.n, 4)
     signs, cells = _stabilizer_table(g)
     values = np.zeros((4,) * g.n, dtype=np.float32)
     np.put(values, cells, signs)  # cells index the flat array

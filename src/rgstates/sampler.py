@@ -22,13 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import MAX_TABLE_BYTES, SizeLimitError
 from .graph import Graph
 from .density import DensityMatrix, subgraph_mixture
 from .state import _WORD_EDGES
 from .witness import _check_p
 
-MAX_SAMPLE_PATTERNS = 1 << 24  # live prefixes: 256 MiB of masks plus tallies
+MAX_SAMPLE_PATTERNS = MAX_TABLE_BYTES // 8  # live prefixes: masks and tallies are a table each
 _DRAW_BLOCK = 1 << 16  # prefixes per slice of the per-edge draws and pass
 _JSON_ROWS = 1 << 12  # masks per piece of the JSON export
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphSpecError, SizeLimitError
+from .errors import GraphSpecError, SizeLimitError, check_table
 from .graph import Graph, generate, symmetric_difference
 
-MAX_STATE_QUBITS = 20
 _WORD_EDGES = 63  # u(x) is one nonnegative int64 word
 
 
@@ -33,6 +32,7 @@ def excitation_patterns(g: Graph) -> np.ndarray:
     """u(x) for every basis string x: bit k set when edge k has both endpoints in x."""
     if g.edge_count > _WORD_EDGES:
         raise SizeLimitError(f"u(x) holds at most |E|={_WORD_EDGES}, got {g.edge_count}")
+    check_table(f"excitation patterns of n={g.n}", 1 << g.n, 8)
     idx = np.arange(1 << g.n, dtype=np.int64)
     u = np.zeros(1 << g.n, dtype=np.int64)
     for k, (i, j) in enumerate(g.edges):
@@ -45,8 +45,7 @@ def _subset_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     For J < 2^i, Gamma(J + 2^i) = Gamma J ^ N(i), and the sign flips with bit i
     of Gamma J, the parity of the edges from i into J."""
-    if g.n > MAX_STATE_QUBITS:
-        raise SizeLimitError(f"state vectors capped at n={MAX_STATE_QUBITS}, got {g.n}")
+    check_table(f"subset walk of n={g.n}", 1 << g.n, 8)
     signs, z_parts = np.ones(1 << g.n, dtype=np.int8), np.zeros(1 << g.n, dtype=np.int64)
     for i, neighbours in enumerate(g.adjacency):  # J + 2^i for the J < 2^i
         z_parts[1 << i:2 << i] = z_parts[:1 << i] ^ neighbours

@@ -51,10 +51,10 @@ from math import comb, factorial, isfinite, perm, sqrt
 
 import numpy as np
 
-from .errors import SizeLimitError
-from .graph import Graph, class_counts, cluster_counts, serialize_graph
+from .errors import MAX_TABLE_BYTES, SizeLimitError
+from .graph import Graph, cluster_counts, serialize_graph
 
-MAX_CONTRACTION_ENTRIES = 2 ** 24  # float64 entries of the widest tensor
+MAX_CONTRACTION_ENTRIES = MAX_TABLE_BYTES // 8  # float64 entries of the widest tensor
 MAX_CONTRACTION_WORK = 2 ** 30  # entry updates of one sweep
 PASS_ENTRIES = 2 ** 13  # fixed cost of one edge's shift, in entry updates
 MAX_CLUSTER_LEVEL = 4  # highest level summed from connected-type counts
@@ -360,7 +360,7 @@ def approx_overlap_2level(g: Graph, p: float) -> float:
     For graphs with fewer than two edges the unavailable terms are dropped.
     """
     _check_p(p)
-    e, m2_star, _ = class_counts(g)
+    e, m2_star = g.edge_count, g.star_counts[0]
     value = p ** e
     if e >= 1:
         value += 0.25 * (1.0 - p) * p ** (e - 1) * e

@@ -119,6 +119,24 @@ def brute_subgraph_dimension(g):
     return int(np.linalg.matrix_rank(np.array([v for _, v in _subgraph_states(g)])))
 
 
+def path_dimension(n):
+    """Distinct excitation patterns of path:n, by a recurrence over its edge strings.
+
+    Edge k of the path joins vertices k and k + 1.  Excited edges k and
+    k + 2 would set both ends of edge k + 1, so a pattern is an edge string
+    in which every run of unexcited edges between two excited ones has
+    length 0 or at least 2, and each such string has a preimage (zero the
+    vertices inside each run).  The four states count the strings by their
+    tail: no excited edge yet, an excited edge last, one unexcited edge
+    after one, or at least two.
+    """
+    none, excited, one_gap, long_gap = 1, 0, 0, 0
+    for _ in range(n - 1):
+        none, excited, one_gap, long_gap = (
+            none, none + excited + long_gap, excited, one_gap + long_gap)
+    return none + excited + one_gap + long_gap
+
+
 def brute_mixture(g, weights):
     """sum_m weights[m] |F_m><F_m| over edge masks m, from dense states."""
     rho = np.zeros((1 << g.n, 1 << g.n))

@@ -10,9 +10,10 @@ from rgstates import (Bipartition, DensityMatrix, Graph, SizeLimitError,
                       partial_transpose, randomize, randomized_bell,
                       sample_preparation, subgraph_mixture,
                       subgraph_space_dimension)
+from rgstates.state import excitation_patterns, walsh_hadamard
 from conftest import graphs
 from oracles import (brute_mixture, brute_subgraph_dimension, connected, dephased_density,
-                     full_spectrum, index_swap_transpose, random_graph)
+                     full_spectrum, index_swap_transpose, path_dimension, random_graph)
 
 EDGE = Graph(2, ((0, 1),))
 
@@ -75,6 +76,22 @@ def test_randomize_matches_edge_by_edge_dephasing():
         for p in (0.0, 0.5, float(rng.uniform(0.05, 0.95)), 1.0):
             assert np.allclose(randomize(g, p).entries, dephased_density(g, p),
                                rtol=1e-12, atol=1e-300), (g, p)
+
+
+@pytest.mark.parametrize("spec", ["path:6", "cycle:7", "grid:2x5", "star:10"])
+def test_row_blocks_equal_one_full_gather(spec):
+    # rho is filled 64 rows at a time; the reference gathers through one 4^n index
+    g, rng = generate(spec), np.random.default_rng(64)
+    u = excitation_patterns(g)
+    xor = u[:, None] ^ u[None, :]
+    p = float(rng.uniform(0.05, 0.95))
+    powers = (1.0 - 2.0 * p) ** np.arange(g.edge_count + 1) / (1 << g.n)
+    assert np.array_equal(randomize(g, p).entries, powers[np.bitwise_count(xor)])
+    raw = rng.random(1 << g.edge_count)
+    weights = raw / raw.sum()
+    chi = walsh_hadamard(weights.copy()) / (1 << g.n)
+    assert np.array_equal(subgraph_mixture(g, dict(enumerate(weights.tolist()))).entries,
+                          chi[xor])
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
@@ -249,8 +266,14 @@ def test_subgraph_space_dimension_examples():
     assert subgraph_space_dimension(generate("complete:3")) == 5
     assert subgraph_space_dimension(generate("complete:4")) == 12
     assert subgraph_space_dimension(generate("complete:7")) == 2 ** 7 - 7
-    with pytest.raises(SizeLimitError):
-        subgraph_space_dimension(generate("complete:13"))  # n > 12
+    with pytest.raises(SizeLimitError, match="excitation patterns of n=25 needs"):
+        subgraph_space_dimension(generate("empty:25"))  # 2^25 int64 patterns
+
+
+def test_subgraph_space_dimension_of_paths_matches_recurrence():
+    for n in (*range(1, 13), 16, 21):
+        assert subgraph_space_dimension(generate(f"path:{n}")) == path_dimension(n), n
+    assert [path_dimension(n) for n in (10, 12, 21, 24)] == [200, 616, 97229, 525456]
 
 
 def test_subgraph_space_dimension_matches_dense_rank():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from math import comb, prod
 
 import numpy as np
@@ -7,13 +8,19 @@ import pytest
 from hypothesis import given
 
 from rgstates import (Graph, GraphSpecError, SizeLimitError, approx_overlap_2level,
-                      class_counts, find_threshold, generate, gme_threshold, min_vertex_cover,
+                      find_threshold, generate, gme_threshold, min_vertex_cover,
                       parse_graph, serialize_graph, subgraph_from_mask, symmetric_difference)
+from rgstates import errors
 from rgstates.graph import MAX_VERTICES, cluster_counts
 from rgstates.witness import _cluster_coefficients
 from conftest import graphs
 from oracles import (CLUSTER_TYPE_EDGES, brute_class_counts, brute_lattice_edges,
                      brute_min_vertex_cover, brute_type_counts, random_graph)
+
+
+def class_counts(g):
+    """(single edges, vertex-sharing edge pairs, disjoint edge pairs) from the cached counts."""
+    return g.edge_count, g.star_counts[0], comb(g.edge_count, 2) - g.star_counts[0]
 
 
 def test_generate_complete_3():
@@ -280,6 +287,26 @@ def test_vertex_count_refused_before_adjacency():
         Graph(MAX_VERTICES + 1, ())
     with pytest.raises(SizeLimitError):
         parse_graph('{"n":1000000000,"edges":[]}')
+
+
+@pytest.mark.parametrize("spec", ["empty:7", "complete:9", "star:6", "path:1", "path:8",
+                                  "cycle:3", "cycle:10", "grid:1x5", "grid:4x6",
+                                  "grid3:2x3x4", "grid3:1x1x7"])
+def test_edge_list_refused_from_the_family_formula(monkeypatch, spec):
+    # with the budget at exactly the spec's edge list, one pair fewer refuses it
+    edges = generate(spec).edge_count
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 16 * edges)
+    assert generate(spec).edge_count == edges
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 16 * edges - 1)
+    with pytest.raises(SizeLimitError, match=f"edge list of n=.* needs {edges} x 16"):
+        generate(spec)
+
+
+def test_complete_graph_past_the_budget_is_refused_before_listing():
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="needs 4999950000 x 16 = 79999200000 bytes"):
+        generate("complete:100000")
+    assert time.perf_counter() - start < 0.1
 
 
 @given(graphs())

@@ -112,8 +112,13 @@ def test_bell_operator_complete3_equals_pure_state():
 
 
 def test_bell_operator_cap():
-    with pytest.raises(SizeLimitError):
-        bell_operator_matrix(generate("empty:11"))
+    with pytest.raises(SizeLimitError, match="Bell operator of n=13 needs"):
+        bell_operator_matrix(generate("empty:13"))
+
+
+def test_bell_operator_equals_pure_randomized_state_at_n11():
+    g = generate("cycle:11")
+    assert np.array_equal(bell_operator_matrix(g), randomize(g, 1.0).entries)
 
 
 def test_lhv_bound_edgeless():
@@ -172,9 +177,9 @@ def test_bell_expectation_lhv_matches_dense_elements(g, data):
 
 
 def test_bell_expectation_lhv_refused_past_the_state_cap():
-    # the table reads the graph-state signs, so their qubit cap refuses first
-    g, assign = generate("empty:21"), LhvAssignment((1,) * 21, (1,) * 21, (1,) * 21)
-    with pytest.raises(SizeLimitError, match="capped at n=20"):
+    # the table reads the graph-state signs, so the walk's table check refuses first
+    g, assign = generate("empty:25"), LhvAssignment((1,) * 25, (1,) * 25, (1,) * 25)
+    with pytest.raises(SizeLimitError, match="subset walk of n=25 needs"):
         bell_expectation_lhv(g, assign)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from rgstates import (Graph, SizeLimitError, closed_form_overlap_sq,
                       empty_overlap, generate, graph_state_vector, overlap,
                       symmetric_difference)
-from rgstates.state import _subset_walk
+from rgstates.state import _subset_walk, signed_sum
 from conftest import graphs
 from oracles import brute_empty_overlap, dense_graph_state, random_graph
 
@@ -64,11 +64,17 @@ def test_first_sign_is_positive(g):
 
 def test_state_size_cap():
     with pytest.raises(SizeLimitError):
-        graph_state_vector(generate("empty:21"))
+        graph_state_vector(generate("empty:25"))
     # overlaps take the polynomial F2 elimination, so they have no qubit cap
-    assert empty_overlap(generate("empty:21")) == 1.0
+    assert empty_overlap(generate("empty:25")) == 1.0
     assert empty_overlap(generate("grid:30x30")) == 2.0 ** -435
     assert empty_overlap(generate("cycle:1000")) ** 2 == closed_form_overlap_sq("cycle:1000")
+
+
+def test_sign_sum_matches_f2_elimination_at_n21():
+    for spec in ("grid:3x7", "cycle:21", "star:21"):
+        g = generate(spec)
+        assert int(graph_state_vector(g).signs.sum(dtype=np.int64)) == signed_sum(g.adjacency), spec
 
 
 @given(graphs(max_n=6))
