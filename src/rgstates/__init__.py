@@ -2,7 +2,7 @@
 
 from .errors import GraphSpecError, SizeLimitError
 from .graph import (Graph, generate, min_vertex_cover, parse_graph,
-                    serialize_graph, subgraph_from_mask, symmetric_difference)
+                    serialize_graph, symmetric_difference)
 from .state import (GraphStateVector, closed_form_overlap_sq, empty_overlap,
                     graph_state_vector, overlap)
 from .density import (Bipartition, DensityMatrix, export_density, negativity,
@@ -15,8 +15,7 @@ from .witness import (WitnessEvaluation, approx_overlap, approx_overlap_2level,
                       randomization_overlap)
 from .lhv import (LhvAssignment, StabilizerElement, apply_stabilizer,
                   bell_expectation_lhv, bell_operator_matrix, lhv_bound,
-                  lhv_threshold, lhv_witness_value, stabilizer_element,
-                  stabilizer_matrix)
+                  lhv_threshold, lhv_witness_value, stabilizer_element)
 from .sampler import (PreparationSample, empirical_state, sample_preparation,
                       sample_to_json)
 
@@ -33,6 +32,6 @@ __all__ = [
     "overlap_star_closed", "parse_graph", "partial_transpose",
     "randomization_overlap", "randomize", "randomized_bell",
     "sample_preparation", "sample_to_json", "serialize_graph",
-    "stabilizer_element", "stabilizer_matrix", "subgraph_from_mask",
-    "subgraph_mixture", "subgraph_space_dimension", "symmetric_difference",
+    "stabilizer_element", "subgraph_mixture", "subgraph_space_dimension",
+    "symmetric_difference",
 ]

@@ -2,7 +2,8 @@
 
 Single values are printed as JSON, sweeps as CSV with header ``p,value``.
 Exit codes: 0 success (a missing threshold is JSON null, still 0), 2 usage
-error, 1 computation error such as an exceeded size cap or exhausted memory.
+error, 1 computation error such as an exceeded size cap or exhausted memory,
+or an output that cannot be written (a missing directory, a closed stdout).
 """
 
 from __future__ import annotations
@@ -413,12 +414,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except (GraphSpecError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SizeLimitError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # the flush at exit writes what is left to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -163,14 +163,6 @@ def symmetric_difference(g: Graph, f: Graph) -> Graph:
     return Graph(g.n, tuple(set(g.edges) ^ set(f.edges)))
 
 
-def subgraph_from_mask(g: Graph, bits: int) -> Graph:
-    """Spanning subgraph of ``g`` keeping the edges whose bits are set in ``bits``."""
-    if not 0 <= bits < (1 << g.edge_count):
-        raise ValueError(f"mask {bits:#x} does not fit {g.edge_count} edges")
-    kept = tuple(e for k, e in enumerate(g.edges) if (bits >> k) & 1)
-    return Graph(g.n, kept)
-
-
 def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:
     """Connected edge sets of ``g`` with at most ``max_edges`` <= 4 edges, by type.
 
@@ -178,9 +170,10 @@ def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:
     C4 and paw (four); a type with more than ``max_edges`` edges is left
     out.  Each count is a closed formula in the degrees d_v, the triangles
     t_v at each vertex (from the common neighbours of each edge's ends) and,
-    for C4, the common neighbours c_uw of every pair u, w two steps apart:
-    C4 = sum_(u<w) C(c_uw, 2) / 2.  The work is about sum_v d_v neighbour
-    popcounts up to three edges and sum_v d_v^2 at four.
+    for C4, the common neighbours c_uw of every pair u < w two steps apart:
+    C4 = sum_(u<w) C(c_uw, 2) / 2.  c_uw is the number of two-step paths from
+    u that end at w, tallied per u.  The work is about sum_v d_v neighbour
+    popcounts up to three edges, plus sum_v d_v^2 path ends at four.
     """
     p3, k13, k14 = g.star_counts
     counts = {"K2": g.edge_count, "P3": p3}
@@ -211,13 +204,8 @@ def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:
         neighbours[v].append(u)
     twice_c4 = 0
     for u in range(g.n):
-        reach = set()
-        for x in neighbours[u]:
-            reach.update(neighbours[x])
-        for w in reach:
-            if w > u:
-                common = (adj[u] & adj[w]).bit_count()
-                twice_c4 += common * (common - 1) // 2
+        ends = Counter(w for x in neighbours[u] for w in neighbours[x] if w > u)
+        twice_c4 += sum(comb(c, 2) for c in ends.values())
     c4 = twice_c4 // 2
     paw = sum(t * (d - 2) for t, d in zip(twice_t, deg)) // 2
     p5 = (sum((s * s - q) // 2 for s, q in zip(arms, arms_sq))

@@ -8,18 +8,19 @@ vertex subset J, the product of the generators X_i Z_N(i) over i in J, is
 
 where e(J) is the number of edges inside J and Gamma J is the XOR of the
 neighbour masks N(i), i in J.  (-1)^e(J) is the graph state's amplitude sign
-at basis string J; ``state._subset_walk`` gives it and Gamma J.  As a Hermitian
-Pauli string, each of the popcount(J & Gamma J) Y sites of S_J takes a factor
--i, an even number of them, so its sign is
-(-1)^(e(J) - popcount(J & Gamma J)/2); this gives the stabilizer table.  The
-Bell operator, the mean of all 2^n elements, is the graph-state projector, so
-its entry (r, c) is s_r s_c / 2^n with s the same sign vector.
+at basis string J.  ``state._subset_walk`` gives it with the cell of S_J, a
+base-4 number whose digit k, x_k + 2 z_k with x = J and z = Gamma J, is the
+Pauli code (I, X, Z, Y) at qubit k.  As a Hermitian Pauli string, each of
+the popcount(J & Gamma J) Y sites of S_J takes a factor -i, an even number
+of them, so its sign is (-1)^(e(J) - popcount(J & Gamma J)/2); this gives
+the stabilizer table.  The Bell operator, the mean of all 2^n elements, is
+the graph-state projector, so its entry (r, c) is s_r s_c / 2^n with s the
+same sign vector.
 
 The classical bound maximizes the Bell operator over all noncontextual +-1
 assignments to the local X, Y, Z observables.  Both the classical bound and
-single assignment values read one stabilizer table: for each of the 2^n
-elements a sign and a base-4 cell index, whose digit k is the Pauli code
-(I, X, Z, Y) at qubit k.  An assignment's value is a product of per-qubit
+single assignment values read one stabilizer table: a sign and a cell for
+each of the 2^n elements.  An assignment's value is a product of per-qubit
 local values, so the sum over elements contracts one qubit at a time.
 
 The search is gauge-fixed to a_z = +1 on every qubit, 4^n of the 8^n
@@ -97,16 +98,6 @@ def _pauli_action(elem: StabilizerElement) -> tuple[np.ndarray, np.ndarray]:
     return idx ^ elem.x_bits, phase * (1 - 2 * parity)
 
 
-def stabilizer_matrix(elem: StabilizerElement) -> np.ndarray:
-    """Dense complex matrix of a stabilizer element."""
-    dim = 1 << elem.n
-    check_table(f"stabilizer matrix of n={elem.n}", dim * dim, 16)
-    rows, values = _pauli_action(elem)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[rows, np.arange(dim)] = values
-    return m
-
-
 def apply_stabilizer(elem: StabilizerElement, vec: np.ndarray) -> np.ndarray:
     """Apply a stabilizer element to a state vector without building its matrix."""
     rows, values = _pauli_action(elem)
@@ -126,19 +117,14 @@ def bell_operator_matrix(g: Graph) -> np.ndarray:
 
 
 def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and Pauli cells of all 2^n stabilizer elements.
+    """int8 signs and int64 Pauli cells of all 2^n stabilizer elements.
 
-    The sign is the graph state's sign at J times (-1)^(Y sites / 2).  The
-    cell of element J is a base-4 number whose digit k, x_k + 2 z_k read
-    from J and Gamma J, is 0, 1, 2, 3 for I, X, Z, Y at qubit k.
+    The sign is the graph state's sign at J times (-1)^(Y sites / 2); a Y
+    site is a cell digit with both bits set.
     """
-    state_signs, z_parts = _subset_walk(g)  # its table check covers the 2^n tables here
-    subsets = np.arange(1 << g.n, dtype=np.int64)
-    y_pairs = np.bitwise_count(subsets & z_parts).astype(np.int64) >> 1  # 1 - 2 * uint8 wraps
-    cells = np.zeros_like(subsets)
-    for k in range(g.n):
-        cells |= ((subsets >> k & 1) + 2 * (z_parts >> k & 1)) << 2 * k
-    return state_signs * (1 - 2 * (y_pairs & 1)), cells
+    signs, cells = _subset_walk(g)  # its table check covers the 2^n tables here
+    signs[np.bitwise_count(cells & cells >> 1 & 0x5555_5555_5555_5555) & 2 != 0] *= -1
+    return signs, cells
 
 
 def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
@@ -151,7 +137,8 @@ def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
     if len(assignment.a_x) != g.n:
         raise ValueError(f"assignment is for {len(assignment.a_x)} qubits, graph has {g.n}")
     terms, cells = _stabilizer_table(g)
-    local = np.array([(1,) * g.n, assignment.a_x, assignment.a_z, assignment.a_y])
+    local = np.array([(1,) * g.n, assignment.a_x, assignment.a_z, assignment.a_y],
+                     dtype=np.int8)
     for k in range(g.n):
         terms *= local[cells >> 2 * k & 3, k]
     return float(terms.sum()) / (1 << g.n)

@@ -3,7 +3,7 @@
 A graph state's computational-basis amplitudes are all +-2^(-n/2), with sign
 (-1)^|u(x)|, where the excitation pattern u(x) is the set of edges with both
 endpoints set in x.  The F2 kernels live here: the u(x) array, the walk that
-gives the signs with the stabilizer Z masks, the exact signed sum over x by F2
+gives the signs with the stabilizer cells, the exact signed sum over x by F2
 variable elimination (so overlaps are exact dyadic rationals), and the
 Walsh-Hadamard transform, which only ``density.subgraph_mixture`` uses.
 """
@@ -29,28 +29,34 @@ class GraphStateVector:
 
 
 def excitation_patterns(g: Graph) -> np.ndarray:
-    """u(x) for every basis string x: bit k set when edge k has both endpoints in x."""
+    """u(x) for every basis string x: bit k set when edge k has both endpoints in x.
+
+    Edge k = (a, b), a < b, ORs bit k into the strided view of u where
+    x_a = x_b = 1, so nothing beside u is held."""
     if g.edge_count > _WORD_EDGES:
         raise SizeLimitError(f"u(x) holds at most |E|={_WORD_EDGES}, got {g.edge_count}")
     check_table(f"excitation patterns of n={g.n}", 1 << g.n, 8)
-    idx = np.arange(1 << g.n, dtype=np.int64)
     u = np.zeros(1 << g.n, dtype=np.int64)
-    for k, (i, j) in enumerate(g.edges):
-        u |= ((idx >> i) & (idx >> j) & 1) << k
+    for k, (a, b) in enumerate(g.edges):  # axes: x above b, x_b, x between, x_a, x below a
+        u.reshape(-1, 2, 1 << b - a - 1, 2, 1 << a)[:, 1, :, 1] |= 1 << k
     return u
 
 
 def _subset_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(-1)^(edges inside J) and Gamma J = XOR of N(i), i in J, for every subset J.
+    """(-1)^(edges inside J) and the stabilizer cell of every subset J.
 
-    For J < 2^i, Gamma(J + 2^i) = Gamma J ^ N(i), and the sign flips with bit i
-    of Gamma J, the parity of the edges from i into J."""
+    The cell of J holds x_k = J_k at bit 2k and z_k = (Gamma J)_k, Gamma J the
+    XOR of N(i) over i in J, at bit 2k + 1.  For J < 2^i, the cell of J + 2^i
+    is that of J XOR that of the generator X_i Z_N(i), and the sign flips with
+    z_i of J, the parity of the edges from i into J."""
     check_table(f"subset walk of n={g.n}", 1 << g.n, 8)
-    signs, z_parts = np.ones(1 << g.n, dtype=np.int8), np.zeros(1 << g.n, dtype=np.int64)
+    signs, cells = np.ones(1 << g.n, dtype=np.int8), np.zeros(1 << g.n, dtype=np.int64)
     for i, neighbours in enumerate(g.adjacency):  # J + 2^i for the J < 2^i
-        z_parts[1 << i:2 << i] = z_parts[:1 << i] ^ neighbours
-        signs[1 << i:2 << i] = signs[:1 << i] * (1 - 2 * (z_parts[:1 << i] >> i & 1))
-    return signs, z_parts
+        # binary digits read in base 4 move bit j to bit 2j
+        generator = 1 << 2 * i | 2 * int(f"{neighbours:b}", 4)
+        cells[1 << i:2 << i] = cells[:1 << i] ^ generator
+        signs[1 << i:2 << i] = signs[:1 << i] * (1 - 2 * (cells[:1 << i] >> 2 * i + 1 & 1))
+    return signs, cells
 
 
 def graph_state_vector(g: Graph) -> GraphStateVector:

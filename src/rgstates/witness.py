@@ -58,7 +58,7 @@ MAX_CONTRACTION_ENTRIES = MAX_TABLE_BYTES // 8  # float64 entries of the widest 
 MAX_CONTRACTION_WORK = 2 ** 30  # entry updates of one sweep
 PASS_ENTRIES = 2 ** 13  # fixed cost of one edge's shift, in entry updates
 MAX_CLUSTER_LEVEL = 4  # highest level summed from connected-type counts
-MAX_CLUSTER_WORK = 2 ** 24  # neighbour popcounts of one count
+MAX_CLUSTER_WORK = 2 ** 24  # neighbour popcounts, or two-step path ends, of one count
 DEFAULT_BRACKET = (0.5, 1.0)
 DEFAULT_THRESHOLD_TOL = 1e-9
 
@@ -268,8 +268,9 @@ def _cluster_coefficients(g: Graph, level: int) -> tuple[float, ...]:
     of the sum, exp obeys r S_r = sum_k k a_k S_(r-k), so s_r = S_r D^r r!
     is the integer sum_k k A_k D^(k-1) (r-1)!/(r-k)! s_(r-k), and one int
     true division rounds S_r to float64 correctly.  Refused when the
-    counts' neighbour popcounts, sum_v d_v (sum_v d_v^2 at level 4), are
-    over ``MAX_CLUSTER_WORK``.
+    counts' steps are over ``MAX_CLUSTER_WORK``: sum_v d_v neighbour
+    popcounts, or at level 4 sum_v d_v^2, the ends of the two-step paths
+    that the C4 count tallies.
     """
     work = 2 * (g.edge_count + (g.star_counts[0] if level >= 4 else 0))  # d^2 = 2 C(d, 2) + d
     if work > MAX_CLUSTER_WORK:

@@ -37,6 +37,19 @@ def brute_empty_overlap(g):
     return total / (1 << g.n)
 
 
+def brute_excitation_patterns(g):
+    """u(x) for every basis string x, one string and one edge at a time."""
+    return [sum(1 << k for k, (i, j) in enumerate(g.edges) if (x >> i) & (x >> j) & 1)
+            for x in range(1 << g.n)]
+
+
+def subgraph_from_mask(g, bits):
+    """Spanning subgraph of ``g`` keeping the edges whose bits are set in ``bits``."""
+    if not 0 <= bits < (1 << g.edge_count):
+        raise ValueError(f"mask {bits:#x} does not fit {g.edge_count} edges")
+    return Graph(g.n, tuple(e for k, e in enumerate(g.edges) if (bits >> k) & 1))
+
+
 def brute_randomization_overlap(g, p):
     """Sum over all spanning subgraphs of weight times squared overlap."""
     total = 0.0
@@ -110,8 +123,7 @@ def dense_graph_state(g):
 def _subgraph_states(g):
     """Dense |F_m> for every edge mask m of g, by the CZ construction."""
     for mask in range(1 << g.edge_count):
-        kept = tuple(e for k, e in enumerate(g.edges) if (mask >> k) & 1)
-        yield mask, dense_graph_state(Graph(g.n, kept))
+        yield mask, dense_graph_state(subgraph_from_mask(g, mask))
 
 
 def brute_subgraph_dimension(g):
@@ -163,6 +175,16 @@ def dense_generator(g, i):
     for j in range(g.n):
         if (g.adjacency[i] >> j) & 1:
             m = m @ local_op(Z, j, g.n)
+    return m
+
+
+def stabilizer_matrix(elem):
+    """Dense matrix of a stabilizer element: its sign times the Kronecker
+    product of I, X, Z or Y for the bits (x_k, z_k) of each qubit k."""
+    paulis = {(0, 0): np.eye(2), (1, 0): X, (0, 1): Z, (1, 1): Y}
+    m = np.full((1, 1), elem.sign, dtype=complex)
+    for k in reversed(range(elem.n)):  # qubit 0 is the least significant bit
+        m = np.kron(m, paulis[(elem.x_bits >> k) & 1, (elem.z_bits >> k) & 1])
     return m
 
 

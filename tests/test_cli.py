@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import brute_subgraph_dimension, random_graph
+import rgstates
 from rgstates import (cli, find_threshold, lhv_bound, lhv_witness_value, parse_graph,
                       sampler, serialize_graph, subgraph_space_dimension, witness)
 from rgstates.cli import main
@@ -526,6 +531,39 @@ def test_memory_error_exits_1(capsys, monkeypatch, exc, text):
     monkeypatch.setattr(cli, "lhv_bound", exhausted)
     code, out, err = run(capsys, "lhv-bound", "--graph", "cycle:4")
     assert (code, out, err) == (1, "", text + "\n")
+
+
+def test_unwritable_output_exits_1(capsys, tmp_path):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for argv in (("rank", "--graph", "path:3", "--p", "0.5",
+                  "--dump-matrix", str(tmp_path / "missing" / "x")),
+                 ("figs", "--target", "fig4", "--out-dir", str(a_file))):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_closed_stdout_exits_1_with_one_error_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(rgstates.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as stdout is by default
+    command = [sys.executable, "-m", "rgstates"]
+    # what `rgstates sample ... | head -c 50` does: the reader leaves mid-stream
+    sample = [*command, "sample", "--graph", "grid:5x5", "--p", "0.5", "--shots", "400000",
+              "--seed", "1"]
+    with subprocess.Popen(sample, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.read(50).startswith(b'{"graph_spec":"grid:5x5"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.wait(timeout=60)
+    assert (proc.returncode, err) == (1, "error: [Errno 32] Broken pipe\n")
+    # a reader gone before the first write: the short output is still in the buffer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as closed:
+        result = subprocess.run([*command, "lhv-bound", "--graph", "cycle:4"], stdout=closed,
+                                stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stderr) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def test_figs_targets(capsys, tmp_path):

@@ -4,10 +4,9 @@ from math import comb
 import pytest
 
 from rgstates import (Graph, SizeLimitError, bell_operator_matrix, generate,
-                      graph_state_vector, lhv_bound, randomize, stabilizer_matrix,
-                      subgraph_mixture, subgraph_space_dimension)
+                      graph_state_vector, lhv_bound, randomize, subgraph_mixture,
+                      subgraph_space_dimension)
 from rgstates.errors import MAX_TABLE_BYTES
-from rgstates.lhv import StabilizerElement
 from rgstates.sampler import MAX_SAMPLE_PATTERNS
 from rgstates.state import excitation_patterns
 from rgstates.witness import MAX_CONTRACTION_ENTRIES
@@ -30,8 +29,6 @@ REFUSED_ONE_STEP_PAST = [
     ("subset walk of n=25", lambda: graph_state_vector(generate("empty:25")), 2 ** 24 * 8),
     ("Bell operator of n=13", lambda: bell_operator_matrix(generate("empty:13")), 4 ** 12 * 8),
     ("LHV value tensor of n=13", lambda: lhv_bound(generate("empty:13")), 4 ** 12 * 4),
-    ("stabilizer matrix of n=12", lambda: stabilizer_matrix(StabilizerElement(12, 0, 0, 1)),
-     4 ** 11 * 16),
     ("edge list of n=4097", lambda: generate("complete:4097"), comb(4096, 2) * 16),
     # the edge count is read before any edge is: a range stands in for 2^23 + 1 pairs
     ("edge list of n=5000", lambda: Graph(5000, range(2 ** 23 + 1)), 2 ** 23 * 16),

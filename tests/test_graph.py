@@ -9,13 +9,14 @@ from hypothesis import given
 
 from rgstates import (Graph, GraphSpecError, SizeLimitError, approx_overlap_2level,
                       find_threshold, generate, gme_threshold, min_vertex_cover,
-                      parse_graph, serialize_graph, subgraph_from_mask, symmetric_difference)
+                      parse_graph, serialize_graph, symmetric_difference)
 from rgstates import errors
 from rgstates.graph import MAX_VERTICES, cluster_counts
 from rgstates.witness import _cluster_coefficients
 from conftest import graphs
 from oracles import (CLUSTER_TYPE_EDGES, brute_class_counts, brute_lattice_edges,
-                     brute_min_vertex_cover, brute_type_counts, random_graph)
+                     brute_min_vertex_cover, brute_type_counts, random_graph,
+                     subgraph_from_mask)
 
 
 def class_counts(g):

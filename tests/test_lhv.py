@@ -10,10 +10,10 @@ from rgstates import (Graph, LhvAssignment, SizeLimitError,
                       bell_expectation_lhv, bell_operator_matrix, generate,
                       apply_stabilizer, graph_state_vector, lhv_bound,
                       lhv_threshold, lhv_witness_value, randomize,
-                      stabilizer_element, stabilizer_matrix)
+                      stabilizer_element)
 from conftest import graphs
 from oracles import (brute_bell_expectation, brute_lhv_bound, dense_generator,
-                     full_lhv_bound, pauli_decompose, random_graph)
+                     full_lhv_bound, pauli_decompose, random_graph, stabilizer_matrix)
 
 EDGE = Graph(2, ((0, 1),))
 
@@ -72,7 +72,7 @@ def test_stabilizer_table_matches_elements():
     graphs_checked.append(generate("complete:12"))
     for g in graphs_checked:
         signs, cells = lhv._stabilizer_table(g)
-        assert signs.dtype == cells.dtype == np.int64
+        assert signs.dtype == np.int8 and cells.dtype == np.int64
         assert signs.shape == cells.shape == (1 << g.n,)
         for j_mask in range(1 << g.n):
             e = stabilizer_element(g, j_mask)

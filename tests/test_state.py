@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from rgstates import (Graph, SizeLimitError, closed_form_overlap_sq,
                       empty_overlap, generate, graph_state_vector, overlap,
                       symmetric_difference)
-from rgstates.state import _subset_walk, signed_sum
+from rgstates.state import _subset_walk, excitation_patterns, signed_sum
 from conftest import graphs
-from oracles import brute_empty_overlap, dense_graph_state, random_graph
+from oracles import (brute_empty_overlap, brute_excitation_patterns, dense_graph_state,
+                     random_graph)
 
 
 def test_empty_two_qubits_is_plus_plus():
@@ -31,6 +32,16 @@ def test_complete_3_signs():
     assert all(big.signs[x] == (-1) ** comb(x.bit_count(), 2) for x in range(1 << 12))
 
 
+def test_excitation_patterns_match_per_string_count():
+    rng = np.random.default_rng(2111)
+    checked = [random_graph(rng, 11, min_n=1) for _ in range(30)]
+    checked.append(generate("complete:11"))  # 55 edges: bit 54 is the highest set
+    for g in checked:
+        u = excitation_patterns(g)
+        assert u.dtype == np.int64
+        assert u.tolist() == brute_excitation_patterns(g), g
+
+
 def test_subset_walk_matches_brute_force():
     rng = np.random.default_rng(1806)
     for _ in range(40):
@@ -39,15 +50,18 @@ def test_subset_walk_matches_brute_force():
         for i, j in g.edges:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        signs, z_parts = _subset_walk(g)
-        assert signs.dtype == np.int8 and z_parts.dtype == np.int64
+        signs, cells = _subset_walk(g)
+        assert signs.dtype == np.int8 and cells.dtype == np.int64
         for subset in range(1 << g.n):
             gamma = 0
             for i in range(g.n):
                 if subset >> i & 1:
                     gamma ^= masks[i]
+            # x_k = bit k of the subset at bit 2k, z_k = bit k of gamma at bit 2k + 1
+            cell = sum((subset >> k & 1) << 2 * k | (gamma >> k & 1) << 2 * k + 1
+                       for k in range(g.n))
             inside = sum(subset >> i & subset >> j & 1 for i, j in g.edges)
-            assert (z_parts[subset], signs[subset]) == (gamma, (-1) ** inside), (g, subset)
+            assert (cells[subset], signs[subset]) == (cell, (-1) ** inside), (g, subset)
 
 
 @given(graphs(max_n=5))
