@@ -2,8 +2,9 @@
 
 Single values are printed as JSON, sweeps as CSV with header ``p,value``.
 Exit codes: 0 success (a missing threshold is JSON null, still 0), 2 usage
-error, 1 computation error such as an exceeded size cap or exhausted memory,
-or an output that cannot be written (a missing directory, a closed stdout).
+error, 1 computation error such as an input over the memory or time budget
+(``errors.check_table``, ``errors.check_time``) or exhausted memory, or an
+output that cannot be written (a missing directory, a closed stdout).
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from functools import cache, partial
 from math import isfinite
 from pathlib import Path
 
-from .errors import GraphSpecError, SizeLimitError
+from .errors import GraphSpecError, SizeLimitError, check_time
 from .graph import Graph, min_vertex_cover, parse_graph
-from .density import Bipartition, export_density, negativity, randomize, subgraph_space_dimension
+from .density import (Bipartition, export_density, negativity, randomize,
+                      subgraph_space_dimension, _NEGATIVITY_SECONDS)
 from .witness import (DEFAULT_THRESHOLD_TOL, GME_CONSTANT, gme_threshold,
                       gme_witness_value, _overlap_function)
 from .lhv import lhv_bound, lhv_threshold
@@ -27,7 +29,6 @@ from .sampler import sample_preparation, _json_pieces
 QUANTITIES = ("overlap", "gme_witness", "lhv_witness", "negativity", "rank")
 FIG_TARGETS = ("fig4", "fig5", "fig6", "fig7", "fig9")
 MAX_SWEEP_POINTS = 10 ** 6
-MAX_NEGATIVITY_SWEEP_WORK = 10 ** 12  # points x 8^n: 14 points at n = 12
 
 
 def _fmt(value):
@@ -142,8 +143,9 @@ def _value_of(quantity: str, args, g: Graph, points: int):
     """Parse and admit the inputs of ``quantity`` once; return its p -> value.
 
     ``points`` is the number of p values the function will be called at; a
-    negativity is refused up front when points x 8^n, one dense eigensolve of
-    a 2^n x 2^n matrix per point, is over ``MAX_NEGATIVITY_SWEEP_WORK``.  A
+    negativity is refused up front when its estimate, points x 8^n x
+    ``density._NEGATIVITY_SECONDS`` (one dense eigensolve of a 2^n x 2^n
+    matrix per point), is over the time budget of ``errors.check_time``.  A
     witness value is its constant minus the overlap at the level: 1/2 for
     ``gme_witness``, D(G) for ``lhv_witness``.
 
@@ -157,11 +159,8 @@ def _value_of(quantity: str, args, g: Graph, points: int):
         if args.bipartition is None:
             raise ValueError("sweep of negativity needs --bipartition")
         cut = _parse_bipartition(args.bipartition, g.n)
-        work = points * 8 ** g.n
-        if work > MAX_NEGATIVITY_SWEEP_WORK:
-            raise SizeLimitError(
-                f"negativity sweep of {points} points at n={g.n} is estimated at"
-                f" {work:.3g} (points x 8^n); the limit is {MAX_NEGATIVITY_SWEEP_WORK:.0e}")
+        check_time(f"negativity sweep of {points} points at n={g.n}",
+                   points * 8 ** g.n * _NEGATIVITY_SECONDS)
         return lambda p: negativity(randomize(g, p), cut)
     if quantity == "rank":
         dimension = cache(partial(subgraph_space_dimension, g))

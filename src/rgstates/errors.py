@@ -1,7 +1,30 @@
-"""Exception types shared across the package, and the one memory budget."""
+"""Exception types shared across the package, and the memory and time budgets.
+
+Memory: every dense numpy table is checked by ``check_table`` against
+``MAX_TABLE_BYTES`` before it is allocated.  Time: every computation whose
+cost grows past a few seconds with its input states an estimate in seconds,
+its work count times a per-unit cost fitted beside the kernel it models, and
+``check_time`` refuses it over ``MAX_SECONDS``.  Three paths have such an
+estimate: the overlap contraction (``witness._admitted_plan``), the
+level-3/4 cluster counts (``witness._cluster_coefficients``) and a
+negativity sweep (``cli._value_of``).
+
+The other limits are not costs:
+
+- ``cli.MAX_SWEEP_POINTS`` bounds the p-grid input and the list of its points;
+- |E| <= 63 wherever u(x) or a sample mask is one int64 word;
+- ``witness._check_range`` keeps the contraction's coefficients in the
+  float64 range;
+- ``graph.MAX_COVER_VERTICES`` bounds the exact vertex cover, whose branch
+  and bound has no up-front estimate;
+- ``graph.MAX_VERTICES`` bounds the memory of the adjacency ints, which are
+  not a numpy table.
+"""
 
 # Bytes of one dense numpy table: a 4^12 float64 matrix, a 2^24 int64 vector.
 MAX_TABLE_BYTES = 2 ** 27
+# Estimated seconds of one computation on a 2-vCPU Xeon with one BLAS thread.
+MAX_SECONDS = 20
 
 
 class GraphSpecError(ValueError):
@@ -17,3 +40,10 @@ def check_table(what: str, entries: int, itemsize: int):
     if entries * itemsize > MAX_TABLE_BYTES:
         raise SizeLimitError(f"{what} needs {entries} x {itemsize} = {entries * itemsize}"
                              f" bytes; the limit is {MAX_TABLE_BYTES} bytes per table")
+
+
+def check_time(what: str, seconds: float):
+    """Refuse a computation estimated at more than ``MAX_SECONDS``."""
+    if seconds > MAX_SECONDS:
+        raise SizeLimitError(f"{what} is estimated at {seconds:.3g} s;"
+                             f" the limit is {MAX_SECONDS:g} s")

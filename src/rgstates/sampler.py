@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MAX_TABLE_BYTES, SizeLimitError
+from .errors import MAX_TABLE_BYTES, SizeLimitError, check_table
 from .graph import Graph
 from .density import DensityMatrix, subgraph_mixture
 from .state import _WORD_EDGES
@@ -79,8 +79,8 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     # child.  Per edge, the uniforms decide the single-shot prefixes, then
     # one pass over slices of prefixes draws the binomials of the multi-shot
     # ones in ascending order, appends the children and sets the edge bit.
-    # Past the cap, the children are only counted, so a refusal names the
-    # size the edge needed.
+    # Past the table budget, the children are only counted, so a refusal
+    # names the size the edge needed.
     rng = np.random.default_rng(seed)
     size = min(shots, 1 << e, MAX_SAMPLE_PATTERNS)
     masks = np.empty(size, dtype=np.int64)
@@ -108,10 +108,7 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
                 tallies[grown:end] = children
             grown = end
             masks[a:b] |= keep[a:b] * (1 << k)
-        if grown > MAX_SAMPLE_PATTERNS:
-            raise SizeLimitError(
-                f"sampling capped at {MAX_SAMPLE_PATTERNS} distinct mask prefixes;"
-                f" edge {k + 1} of {e} needs {grown}")
+        check_table(f"sample prefixes at edge {k + 1} of {e}", grown, 8)
         live = grown
     order = np.argsort(masks[:live])
     masks = masks[order]  # one sorted copy at a time beside the prefix arrays

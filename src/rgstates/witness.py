@@ -19,8 +19,7 @@ the type of U.  Up to t^4 only ten types occur; their counts come from
 closed formulas in degrees, triangles and common neighbours
 (``graph.cluster_counts``), and S_r is [t^r] exp(sum_T N_T W_T), summed in
 exact integers and rounded once.  The cost follows sum_v d_v (sum_v d_v^2
-at level 4), not the frontier width; it is refused over
-``MAX_CLUSTER_WORK``.
+at level 4), not the frontier width; ``_count_seconds`` estimates it.
 
 Higher levels, and so the exact polynomial of any graph of more than four
 edges, come from ``_contraction_coefficients``: one sweep over a greedy
@@ -33,12 +32,12 @@ blocks (``_shift``), through the constant 4x4 table ``_K``: an edge folds
 in as P_r + K P_(r-1), and a vertex whose last neighbour is the one being
 introduced hands its axis over as (J P_r + P_(r-1) K) / 4, so the tensor
 does not widen.  The cost follows the widest frontier w, not 2^|E|.
-Before the sweep, an input is refused when its 4^w x level entries exceed
-``MAX_CONTRACTION_ENTRIES`` (memory) or its |E| x (4^w x level +
-``PASS_ENTRIES``) entry updates exceed ``MAX_CONTRACTION_WORK`` (time), or
-when its coefficients, up to C(|E|, r), could leave the float64 range.
-The cluster path needs no such check: at level <= 4 that takes |E| near
-10^77, far past ``MAX_CLUSTER_WORK``.
+Before the sweep, an input is refused when its 4^w x level float64 entries
+exceed the table budget (``errors.check_table``), when its estimated
+seconds exceed the time budget (``errors.check_time``), or when its
+coefficients, up to C(|E|, r), could leave the float64 range.  The cluster
+path needs no range check: at level <= 4 that takes |E| near 10^77, far
+past its own time estimate.
 No density matrices are ever materialized here.
 """
 
@@ -51,14 +50,11 @@ from math import comb, factorial, isfinite, perm, sqrt
 
 import numpy as np
 
-from .errors import MAX_TABLE_BYTES, SizeLimitError
+from .errors import MAX_SECONDS, MAX_TABLE_BYTES, SizeLimitError, check_table, check_time
 from .graph import Graph, cluster_counts, serialize_graph
 
-MAX_CONTRACTION_ENTRIES = MAX_TABLE_BYTES // 8  # float64 entries of the widest tensor
-MAX_CONTRACTION_WORK = 2 ** 30  # entry updates of one sweep
 PASS_ENTRIES = 2 ** 13  # fixed cost of one edge's shift, in entry updates
 MAX_CLUSTER_LEVEL = 4  # highest level summed from connected-type counts
-MAX_CLUSTER_WORK = 2 ** 24  # neighbour popcounts, or two-step path ends, of one count
 DEFAULT_BRACKET = (0.5, 1.0)
 DEFAULT_THRESHOLD_TOL = 1e-9
 
@@ -67,6 +63,12 @@ GME_CONSTANT = 0.5  # identity coefficient of the projector witness
 # K[sigma, tau] = (-1)^popcount(sigma & tau) with sigma = x + 2y, the edge sign
 _K = np.array([[(-1.0) ** (s & t).bit_count() for t in range(4)] for s in range(4)])
 _BLOCK = 2 ** 16  # entries of one block of the contraction's shift steps
+# Fitted seconds (see _admitted_plan and _count_seconds): one entry update of
+# the sweep; one edge end of the level-3 counts, plus one per vertex bit of
+# its popcounts; one two-step path end and one vertex of the C4 tally.
+_UPDATE_SECONDS = 18e-9
+_END_SECONDS, _END_BIT_SECONDS = 1e-6, 70e-12
+_PATH_END_SECONDS, _VERTEX_SECONDS = 150e-9, 10e-6
 
 # Linked-cluster weights W_T(t) = sum_(U' in T) (-1)^|T - U'| log Z_U'(t) of
 # the connected types T, as numerators over _WEIGHT_DENOMINATOR of their
@@ -214,6 +216,11 @@ def _check_range(g: Graph, level: int):
             f" at level {level}")
 
 
+def _sweep_seconds(g: Graph, level: int, width: int) -> float:
+    """Estimated seconds of a sweep to t^level whose widest frontier is ``width``."""
+    return g.edge_count * (4 ** width * level + PASS_ENTRIES) * _UPDATE_SECONDS
+
+
 def _admitted_plan(g: Graph, level: int):
     """Steps of the sweep to t^level, refused if out of range, memory or time.
 
@@ -221,42 +228,50 @@ def _admitted_plan(g: Graph, level: int):
     holds 4^w x level float64 entries.  Every edge is folded in by one shift
     over at most that many entries, in blocks of about ``_BLOCK``.  So a
     sweep makes about |E| x (4^w x level + PASS_ENTRIES) entry updates,
-    with ``PASS_ENTRIES`` the fixed cost of a shift's first block.  Fitted
-    to 29 timed sweeps (one BLAS thread, 2-vCPU machine), an estimated
-    update costs about 5 ns and a first block about 35 us.  A further
-    block costs 3-12 us, a few percent of its entries, so the entry term
-    covers it.  The estimate charges every edge at the widest frontier, so
-    the longest admitted sweeps are long strips whose edges nearly all fold
-    there: exact grid:5x100 takes about 9 s, exact grid:8x8 about 4 s.
-    Narrow sweeps meet the range limit first (exact grid:3x200, 1 s).
-    Both limits give a widest admitted w, and planning stops as soon as
-    the frontier grows past it, so a refusal reports the first width that
-    failed, not the order's full width.
+    with ``PASS_ENTRIES`` the fixed cost of a shift's first block, each
+    charged ``_UPDATE_SECONDS``.  In process, with one BLAS thread, timed
+    sweeps ran at 2-17 ns per estimated update: wide tensors the least
+    (complete:10 at level 8), narrow ones the most (exact grid:3x200, 1 s).
+    The estimate charges every edge at the widest frontier, so the longest
+    admitted sweeps are long strips whose edges nearly all fold there:
+    exact grid:5x114 took about 11 s, exact grid:8x9 about 6 s.  Narrower
+    strips meet the range limit first.  The memory and time budgets give
+    a widest admitted w, and planning stops as soon as the frontier grows
+    past it, so a refusal reports the first width that failed, not the
+    order's full width.
     """
     _check_range(g, level)
-
-    def entries(w):
-        return 4 ** w * level
-
-    def work(w):
-        return g.edge_count * (entries(w) + PASS_ENTRIES)
-
     admitted = -1
-    while (entries(admitted + 1) <= MAX_CONTRACTION_ENTRIES
-           and work(admitted + 1) <= MAX_CONTRACTION_WORK):
+    while (4 ** (admitted + 1) * level * 8 <= MAX_TABLE_BYTES
+           and _sweep_seconds(g, level, admitted + 1) <= MAX_SECONDS):
         admitted += 1
     steps, width = _contraction_plan(g, admitted)
-    if width <= admitted:
-        return steps
-    if entries(width) > MAX_CONTRACTION_ENTRIES:
-        raise SizeLimitError(
-            f"overlap contraction needs at least 4^{width} x {level} = {entries(width)}"
-            f" float64 entries ({8 * entries(width)} bytes) at frontier width {width};"
-            f" the limit is {MAX_CONTRACTION_ENTRIES} entries")
-    raise SizeLimitError(
-        f"overlap contraction needs at least {g.edge_count} edges x (4^{width} x"
-        f" {level} + {PASS_ENTRIES}) = {work(width)} entry updates at frontier"
-        f" width {width}; the limit is {MAX_CONTRACTION_WORK}")
+    what = f"overlap contraction at frontier width {width}"
+    check_table(what, 4 ** width * level, 8)  # width = admitted + 1 fails one check
+    check_time(what, _sweep_seconds(g, level, width))
+    return steps
+
+
+def _count_seconds(g: Graph, level: int) -> float:
+    """Estimated seconds of the level-``level`` cluster counts of ``g``.
+
+    Levels <= 2 read the degrees only and are charged nothing.  Level 3
+    builds the adjacency ints and makes one popcount of two n-bit ints per
+    edge end, ``_END_SECONDS`` plus ``_END_BIT_SECONDS`` per vertex each.
+    Level 4 adds the C4 tally: ``_PATH_END_SECONDS`` per two-step path end,
+    sum_v d_v^2 of them, and ``_VERTEX_SECONDS`` for the ``Counter`` of each
+    vertex.  Timed in process, level 3 ran at 0.5-1.1 us per edge end on
+    complete:400 to complete:3957 and 1-7 us on grid:100x100 to
+    grid:362x362; the level-4 path ends at 35-110 ns each (complete:400,
+    star:11000).
+    """
+    if level < 3:
+        return 0.0
+    ends = 2 * g.edge_count
+    seconds = ends * (_END_SECONDS + g.n * _END_BIT_SECONDS)
+    if level >= 4:  # d^2 = 2 C(d, 2) + d
+        seconds += (ends + 2 * g.star_counts[0]) * _PATH_END_SECONDS + g.n * _VERTEX_SECONDS
+    return seconds
 
 
 def _cluster_coefficients(g: Graph, level: int) -> tuple[float, ...]:
@@ -268,15 +283,9 @@ def _cluster_coefficients(g: Graph, level: int) -> tuple[float, ...]:
     of the sum, exp obeys r S_r = sum_k k a_k S_(r-k), so s_r = S_r D^r r!
     is the integer sum_k k A_k D^(k-1) (r-1)!/(r-k)! s_(r-k), and one int
     true division rounds S_r to float64 correctly.  Refused when the
-    counts' steps are over ``MAX_CLUSTER_WORK``: sum_v d_v neighbour
-    popcounts, or at level 4 sum_v d_v^2, the ends of the two-step paths
-    that the C4 count tallies.
+    counts' estimate, ``_count_seconds``, is over the time budget.
     """
-    work = 2 * (g.edge_count + (g.star_counts[0] if level >= 4 else 0))  # d^2 = 2 C(d, 2) + d
-    if work > MAX_CLUSTER_WORK:
-        raise SizeLimitError(
-            f"level-{level} cluster counts need about {work} neighbour popcounts;"
-            f" the limit is {MAX_CLUSTER_WORK}")
+    check_time(f"level-{level} cluster count of n={g.n}", _count_seconds(g, level))
     counts = cluster_counts(g, level)
     logs = [sum(n * _CLUSTER_WEIGHTS[name][k] for name, n in counts.items())
             for k in range(level)]

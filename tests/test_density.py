@@ -62,6 +62,13 @@ def test_randomize_validation():
         randomize(generate("complete:12"), 0.5)  # u(x) is one 63-bit word
 
 
+@pytest.mark.parametrize("key", [-1, 4, 1.5, "1"])
+def test_mixture_refuses_a_key_outside_the_masks(key):
+    # path:3 has two edges: the masks are the ints 0..3
+    with pytest.raises(ValueError, match=f"mask key {key!r} is not an int in \\[0, 2\\^2\\)"):
+        subgraph_mixture(generate("path:3"), {key: 1.0})
+
+
 def test_randomize_matches_edge_by_edge_dephasing():
     rng = np.random.default_rng(1931)
     cases = [generate("complete:8"), generate("complete:9")]

@@ -1,15 +1,15 @@
 import re
+from argparse import Namespace
 from math import comb
 
 import pytest
 
-from rgstates import (Graph, SizeLimitError, bell_operator_matrix, generate,
-                      graph_state_vector, lhv_bound, randomize, subgraph_mixture,
-                      subgraph_space_dimension)
-from rgstates.errors import MAX_TABLE_BYTES
+from rgstates import (Graph, SizeLimitError, approx_overlap, bell_operator_matrix, cli,
+                      density, generate, graph_state_vector, lhv_bound, randomization_overlap,
+                      randomize, subgraph_mixture, subgraph_space_dimension, witness)
+from rgstates.errors import MAX_SECONDS, MAX_TABLE_BYTES
 from rgstates.sampler import MAX_SAMPLE_PATTERNS
 from rgstates.state import excitation_patterns
-from rgstates.witness import MAX_CONTRACTION_ENTRIES
 
 MESSAGE = re.compile(r"(.+) needs (\d+) x (\d+) = (\d+) bytes;"
                      rf" the limit is {MAX_TABLE_BYTES} bytes per table")
@@ -32,6 +32,9 @@ REFUSED_ONE_STEP_PAST = [
     ("edge list of n=4097", lambda: generate("complete:4097"), comb(4096, 2) * 16),
     # the edge count is read before any edge is: a range stands in for 2^23 + 1 pairs
     ("edge list of n=5000", lambda: Graph(5000, range(2 ** 23 + 1)), 2 ** 23 * 16),
+    # planning stops at the first frontier width whose tensor is over the budget
+    ("overlap contraction at frontier width 11",
+     lambda: approx_overlap(generate("complete:14"), 0.5, 5), 4 ** 10 * 5 * 8),
 ]
 
 
@@ -50,4 +53,35 @@ def test_each_table_is_refused_one_step_past_the_budget(what, call, below):
 
 def test_derived_limits_read_the_budget():
     assert MAX_TABLE_BYTES == 2 ** 27
-    assert MAX_CONTRACTION_ENTRIES == MAX_SAMPLE_PATTERNS == MAX_TABLE_BYTES // 8 == 2 ** 24
+    assert MAX_SAMPLE_PATTERNS == MAX_TABLE_BYTES // 8 == 2 ** 24
+    assert MAX_SECONDS == 20
+
+
+TIME_MESSAGE = re.compile(rf"(.+) is estimated at (\S+) s; the limit is {MAX_SECONDS:g} s")
+HALVES = Namespace(bipartition="0,1,2,3,4,5|6,7,8,9,10,11")
+
+# (what is refused, the refused call, the estimate of the same path one step
+# smaller, computed without running it)
+REFUSED_PAST_THE_TIME_BUDGET = [
+    ("overlap contraction at frontier width 8",
+     lambda: randomization_overlap(generate("grid:8x10"), 0.9),
+     lambda: witness._sweep_seconds(generate("grid:8x9"), 127, 8)),
+    ("level-4 cluster count of n=20000",
+     lambda: approx_overlap(generate("star:20000"), 0.9, 4),
+     lambda: witness._count_seconds(generate("star:11000"), 4)),
+    ("negativity sweep of 2 points at n=12",
+     lambda: cli._value_of("negativity", HALVES, generate("grid:3x4"), 2),
+     lambda: 8 ** 12 * density._NEGATIVITY_SECONDS),
+]
+
+
+@pytest.mark.parametrize("what, call, inside", REFUSED_PAST_THE_TIME_BUDGET,
+                         ids=[w for w, _, _ in REFUSED_PAST_THE_TIME_BUDGET])
+def test_each_path_is_refused_past_the_time_budget(what, call, inside):
+    with pytest.raises(SizeLimitError) as info:
+        call()
+    m = TIME_MESSAGE.fullmatch(str(info.value))
+    assert m is not None, str(info.value)
+    assert m.group(1) == what
+    assert float(m.group(2)) > MAX_SECONDS
+    assert MAX_SECONDS / 2 < inside() <= MAX_SECONDS

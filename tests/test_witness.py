@@ -11,7 +11,7 @@ from rgstates import (Graph, SizeLimitError, approx_overlap,
                       overlap_linear_closed, overlap_star_closed, randomize,
                       randomization_overlap, witness)
 from rgstates.state import signed_sum
-from rgstates.witness import (MAX_CLUSTER_WORK, _CLUSTER_WEIGHTS, _WEIGHT_DENOMINATOR,
+from rgstates.witness import (_CLUSTER_WEIGHTS, _WEIGHT_DENOMINATOR,
                               _cluster_coefficients, _contraction_coefficients,
                               _contraction_plan, _level_coefficients)
 from conftest import graphs
@@ -61,7 +61,7 @@ def test_randomization_overlap_validation():
     with pytest.raises(ValueError):
         randomization_overlap(generate("path:3"), 1.2)
     with pytest.raises(SizeLimitError):
-        # planning stops at width 9: 4^9 x 66 float64 entries, over MAX_CONTRACTION_ENTRIES
+        # planning stops at width 9: 4^9 x 66 float64 entries, over the table budget
         randomization_overlap(generate("complete:12"), 0.5)
 
 
@@ -72,7 +72,8 @@ def test_contraction_admission_bounds_range_and_work():
     # a shallow truncation of the same graph stays in range and is cheap
     assert approx_overlap(g, 0.999, 2) == pytest.approx(
         approx_overlap_2level(g, 0.999), rel=1e-12)
-    with pytest.raises(SizeLimitError, match="entry updates"):
+    with pytest.raises(SizeLimitError, match="overlap contraction at frontier width 8 is"
+                                             " estimated at 23.8 s; the limit is 20 s"):
         randomization_overlap(generate("grid:8x10"), 0.9)
 
 
@@ -183,11 +184,12 @@ def test_cluster_coefficients_match_contraction(spec, level):
 
 
 def test_cluster_admission_bounds_work():
-    # sum_v d_v^2 = 400 x 399^2 neighbour popcounts at level 4
-    with pytest.raises(SizeLimitError,
-                       match=f"63680400 neighbour popcounts; the limit is {MAX_CLUSTER_WORK}"):
-        approx_overlap(generate("complete:400"), 0.9, 4)
-    # level 3 needs only sum_v d_v of them
+    # sum_v d_v^2 = 19999^2 + 19999 two-step path ends at level 4
+    with pytest.raises(SizeLimitError, match="level-4 cluster count of n=20000 is estimated"
+                                             " at 60.3 s; the limit is 20 s"):
+        approx_overlap(generate("star:20000"), 0.9, 4)
+    # level 3 needs only the sum_v d_v edge ends
+    assert approx_overlap(generate("star:20000"), 0.999, 3) > 0.0
     assert approx_overlap(generate("complete:400"), 0.999, 3) > 0.0
 
 
