@@ -316,98 +316,79 @@ def _cmd_figs(args):
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(sub, *, graph=True, p=False, level=None, tol=None):
-    if graph:
-        sub.add_argument("--graph", required=True,
-                         help="graph spec: family:size, file:PATH, or JSON")
-    if p:
-        sub.add_argument("--p", type=float, required=True,
-                         help="randomness parameter in [0, 1]")
-    if level is not None:
-        sub.add_argument("--level", default=level,
-                         help="overlap truncation: 'exact' or an integer")
-    if tol is not None:
-        sub.add_argument("--tol", type=float, default=tol)
+_GRAPH = ("--graph", dict(required=True, help="graph spec: family:size, file:PATH, or JSON"))
+_P = ("--p", dict(type=float, required=True, help="randomness parameter in [0, 1]"))
+_TOL = ("--tol", dict(type=float, default=DEFAULT_THRESHOLD_TOL))
+_DUMP = ("--dump-matrix", dict(help="write the density matrix to BASE.csv/BASE.json"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _level(default):
+    return ("--level", dict(default=default, help="overlap truncation: 'exact' or an integer"))
+
+
+def _threads(why):
+    return ("--threads", dict(type=int, default=os.cpu_count() or 1,
+                              help=f"must be >= 1; has no effect: {why}"))
+
+
+# (name, help, handler, arguments), in the order the top-level help lists them
+_COMMANDS = (
+    ("overlap", "randomization overlap at one p", _cmd_value, (_GRAPH, _P, _level("exact"))),
+    ("witness", "GME witness value at one p", _cmd_witness, (_GRAPH, _P, _level("exact"))),
+    ("threshold", "GME threshold p_w or p_F", _cmd_threshold,
+     (_GRAPH, _level("exact"), _TOL)),
+    ("lhv-bound", "classical Bell bound D(G)", _cmd_lhv_bound, (_GRAPH,)),
+    ("lhv-threshold", "LHV-violation threshold", _cmd_lhv_threshold,
+     (_GRAPH, _level("2"), _TOL, ("--lhv-bound", dict(
+         type=float, help="externally known D(G); computed when omitted")))),
+    ("negativity", "negativity across a bipartition", _cmd_value,
+     (_GRAPH, _P, ("--bipartition", dict(required=True, help="e.g. 0,1|2,3")), _DUMP)),
+    ("rank", "exact rank of the randomized state", _cmd_value, (_GRAPH, _P, _DUMP)),
+    ("dim", "dimension of the subgraph state space", _cmd_dim, (_GRAPH,)),
+    ("cover", "minimum vertex cover size", _cmd_cover, (_GRAPH,)),
+    ("sample", "Monte Carlo preparation samples", _cmd_sample,
+     (_GRAPH, _P, ("--shots", dict(type=int, default=10000)),
+      ("--seed", dict(type=int, default=0)), _threads("a sample is one stream"))),
+    ("sweep", "p-grid sweep of one quantity", _cmd_sweep,
+     (_GRAPH, _level("exact"), ("--quantity", dict(required=True, choices=QUANTITIES)),
+      ("--p-grid", dict(required=True, help="START:STOP:STEP, inclusive")),
+      ("--bipartition", {}), ("--lhv-bound", dict(type=float)),
+      ("--out", dict(choices=("json", "csv"), default="csv")))),
+    ("figs", "regenerate figure datasets", _cmd_figs,
+     (("--target", dict(required=True, choices=FIG_TARGETS)), ("--out-dir", dict(default=".")),
+      _threads("figure cells run serially"))),
+)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of ``command`` when it names one.
+
+    Each subparser costs a few hundred microseconds to build, so ``main``
+    builds just the invoked one.  Its usage and error lines still list every
+    command: the metavar spells out the choices the full parser prints.  The
+    full parser gets no metavar, which would replace "command" in its
+    "required" error.
+    """
     parser = argparse.ArgumentParser(
         prog="rgstates",
         description="Randomized graph states: entanglement and nonlocality diagnostics.")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("overlap", help="randomization overlap at one p")
-    _add_common(sub, p=True, level="exact")
-    sub.set_defaults(handler=_cmd_value)
-
-    sub = commands.add_parser("witness", help="GME witness value at one p")
-    _add_common(sub, p=True, level="exact")
-    sub.set_defaults(handler=_cmd_witness)
-
-    sub = commands.add_parser("threshold", help="GME threshold p_w or p_F")
-    _add_common(sub, level="exact", tol=DEFAULT_THRESHOLD_TOL)
-    sub.set_defaults(handler=_cmd_threshold)
-
-    sub = commands.add_parser("lhv-bound", help="classical Bell bound D(G)")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_lhv_bound)
-
-    sub = commands.add_parser("lhv-threshold", help="LHV-violation threshold")
-    _add_common(sub, level="2", tol=DEFAULT_THRESHOLD_TOL)
-    sub.add_argument("--lhv-bound", type=float, default=None,
-                     help="externally known D(G); computed when omitted")
-    sub.set_defaults(handler=_cmd_lhv_threshold)
-
-    sub = commands.add_parser("negativity", help="negativity across a bipartition")
-    _add_common(sub, p=True)
-    sub.add_argument("--bipartition", required=True, help="e.g. 0,1|2,3")
-    sub.add_argument("--dump-matrix", default=None,
-                     help="write the density matrix to BASE.csv/BASE.json")
-    sub.set_defaults(handler=_cmd_value)
-
-    sub = commands.add_parser("rank", help="exact rank of the randomized state")
-    _add_common(sub, p=True)
-    sub.add_argument("--dump-matrix", default=None,
-                     help="write the density matrix to BASE.csv/BASE.json")
-    sub.set_defaults(handler=_cmd_value)
-
-    sub = commands.add_parser("dim", help="dimension of the subgraph state space")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_dim)
-
-    sub = commands.add_parser("cover", help="minimum vertex cover size")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_cover)
-
-    sub = commands.add_parser("sample", help="Monte Carlo preparation samples")
-    _add_common(sub, p=True)
-    sub.add_argument("--shots", type=int, default=10000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="must be >= 1; has no effect: a sample is one stream")
-    sub.set_defaults(handler=_cmd_sample)
-
-    sub = commands.add_parser("sweep", help="p-grid sweep of one quantity")
-    _add_common(sub, level="exact")
-    sub.add_argument("--quantity", required=True, choices=QUANTITIES)
-    sub.add_argument("--p-grid", required=True, help="START:STOP:STEP, inclusive")
-    sub.add_argument("--bipartition", default=None)
-    sub.add_argument("--lhv-bound", type=float, default=None)
-    sub.add_argument("--out", choices=("json", "csv"), default="csv")
-    sub.set_defaults(handler=_cmd_sweep)
-
-    sub = commands.add_parser("figs", help="regenerate figure datasets")
-    sub.add_argument("--target", required=True, choices=FIG_TARGETS)
-    sub.add_argument("--out-dir", default=".")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="must be >= 1; has no effect: figure cells run serially")
-    sub.set_defaults(handler=_cmd_figs)
-
+    table = [row for row in _COMMANDS if row[0] == command]
+    if table:
+        names = ",".join(name for name, *_ in _COMMANDS)
+        commands = parser.add_subparsers(dest="command", required=True, metavar=f"{{{names}}}")
+    else:
+        table, commands = _COMMANDS, parser.add_subparsers(dest="command", required=True)
+    for name, text, handler, arguments in table:
+        sub = commands.add_parser(name, help=text)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

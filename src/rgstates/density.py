@@ -15,6 +15,9 @@ representative row and column per class and P is the class indicator.  The
 nonzero spectrum of M is that of D^1/2 A D^1/2, with D the class sizes, and
 every eigenvalue dropped with the merged rows is exactly 0.  Rows are merged
 only when they are verified bit-equal, never by hash or tolerance alone.
+``negativity`` reads the rows of the partial transpose from rho's entries in
+place, so only rho and A are held; ``partial_transpose`` builds the whole
+matrix, for callers that want it.
 
 ``numerical_rank`` counts eigenvalues above a relative cutoff, so it can
 miss eigenvalues that are tiny but nonzero, as near p = 0 or 1.  The exact
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -157,10 +161,14 @@ def randomized_bell(p: float) -> DensityMatrix:
     return DensityMatrix(2, m)
 
 
-def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
-    """Transpose the side-A tensor factors of ``rho``; involutive."""
+def _check_cut(rho: DensityMatrix, cut: Bipartition):
     if cut.n != rho.n:
         raise ValueError(f"bipartition is for n={cut.n}, matrix has n={rho.n}")
+
+
+def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
+    """Transpose the side-A tensor factors of ``rho``; involutive."""
+    _check_cut(rho, cut)
     n = rho.n
     t = rho.entries.reshape([2] * (2 * n))
     perm = list(range(2 * n))
@@ -172,8 +180,20 @@ def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(perm).reshape(1 << n, 1 << n))
 
 
+@cache
+def _hash_weights(cols: int) -> np.ndarray:
+    """splitmix64 outputs of the column indices 1..cols (see ``_row_hashes``)."""
+    w = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    w ^= w >> np.uint64(30)
+    w *= np.uint64(0xBF58476D1CE4E5B9)
+    w ^= w >> np.uint64(27)
+    w *= np.uint64(0x94D049BB133111EB)
+    w ^= w >> np.uint64(31)
+    return w
+
+
 def _row_hashes(bits: np.ndarray) -> np.ndarray:
-    """Per-row uint64 hash sum_j f(bits[:, j]) * w_j (mod 2^64), one row block at a time.
+    """Per-row uint64 hash sum_j f(bits[:, j]) * w_j (mod 2^64) of a block of rows.
 
     f(b) = b XOR (b >> 32) is a bijection that folds the sign and exponent
     into the low word: a sum of products keeps the trailing zeros common to
@@ -182,46 +202,55 @@ def _row_hashes(bits: np.ndarray) -> np.ndarray:
     nothing random is drawn, and not linear in j, so rows that permute each
     other's entries rarely collide.
     """
-    w = np.arange(1, bits.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    w ^= w >> np.uint64(30)
-    w *= np.uint64(0xBF58476D1CE4E5B9)
-    w ^= w >> np.uint64(27)
-    w *= np.uint64(0x94D049BB133111EB)
-    w ^= w >> np.uint64(31)
-    h = np.empty(len(bits), dtype=np.uint64)
-    for a in range(0, len(bits), _ROW_BLOCK):
-        block = bits[a:a + _ROW_BLOCK]
-        h[a:a + _ROW_BLOCK] = (block ^ (block >> np.uint64(32))) @ w
-    return h
+    return (bits ^ (bits >> np.uint64(32))) @ _hash_weights(bits.shape[1])
 
 
-def _merged_spectrum(m: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Ascending eigenvalues of D^1/2 A D^1/2 for real symmetric ``m``, and whether rows merged.
+def _merged_spectrum(m: np.ndarray, side_a: int = 0) -> tuple[np.ndarray, bool]:
+    """Ascending eigenvalues of D^1/2 A D^1/2 for M, and whether rows merged.
 
-    Rows with equal hashes join the class of the first such row, then each
-    row is checked bit-equal to that representative; a row that differs (a
-    hash collision) stays its own class.  A = m[R, R] on the representatives
-    R, D their class sizes.  The result is the spectrum of ``m`` less the
-    exact zeros of the merged rows (see the module docstring).
+    M is ``m`` itself (``side_a`` = 0) or its partial transpose on the
+    qubits of the bitmask ``side_a``, and it is never built: with B the
+    other qubits, M[r, c] = flat[base[c] + off[r]] over the flat entries of
+    ``m``, base[c] = (c & A) 2^n + (c & B) and off[r] = (r & B) 2^n + (r & A).
+    Columns that differ only below the lowest qubit of A are adjacent in
+    ``m``, so rows are read _ROW_BLOCK at a time as runs of ``step`` such
+    entries: whole rows of ``m`` when A is empty.  Rows with equal hashes
+    join the class of the first such row, then each row is checked
+    bit-equal to that representative; a row that differs (a hash collision)
+    stays its own class.  A = M[R, R] on the representatives R, D their
+    class sizes.  The result is the spectrum of M less the exact zeros of
+    the merged rows (see the module docstring).
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
-    dim = len(m)
-    bits = m.view(np.uint64)
-    _, first, inverse = np.unique(_row_hashes(bits), return_index=True,
-                                  return_inverse=True)
+    dim, flat = len(m), m.ravel()
+    index, side_b = np.arange(dim), (dim - 1) ^ side_a
+    base = (index & side_a) * dim + (index & side_b)
+    off = (index & side_b) * dim + (index & side_a)
+    step = (side_a | dim) & -(side_a | dim)
+    runs = flat.view(np.uint64).reshape(-1, step)
+    run_base, run_off = base[::step] // step, off // step
+
+    def bits(rows):  # M[rows, :] as uint64
+        return np.take(runs, run_off[rows, None] + run_base, axis=0).reshape(len(rows), dim)
+    hashes = np.concatenate([_row_hashes(bits(index[a:a + _ROW_BLOCK]))
+                             for a in range(0, dim, _ROW_BLOCK)])
+    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
     rep = first[inverse]
-    for a in range(0, dim, _ROW_BLOCK):
-        block = slice(a, a + _ROW_BLOCK)
-        differs = (bits[block] != bits[rep[block]]).any(axis=1)
-        rep[block][differs] = np.arange(a, min(a + _ROW_BLOCK, dim))[differs]
-    reps = np.flatnonzero(rep == np.arange(dim))
+    joined = np.flatnonzero(rep != index)
+    for a in range(0, len(joined), _ROW_BLOCK):
+        rows = joined[a:a + _ROW_BLOCK]
+        rows = rows[(bits(rows) != bits(rep[rows])).any(axis=1)]
+        rep[rows] = rows
+    reps = np.flatnonzero(rep == index)
     merged = len(reps) < dim
-    if merged:
-        sizes = np.bincount(rep, minlength=dim)[reps]
-        m = m[np.ix_(reps, reps)]
-        for a in range(0, len(reps), _ROW_BLOCK):  # one rounding: sqrt(d_i d_j)
-            m[a:a + _ROW_BLOCK] *= np.sqrt(sizes[a:a + _ROW_BLOCK, None] * sizes)
-    return np.linalg.eigvalsh(m), merged
+    sizes = np.bincount(rep, minlength=dim)[reps]
+    a_mat = np.empty((len(reps), len(reps)))
+    for a in range(0, len(reps), _ROW_BLOCK):
+        rows = slice(a, a + _ROW_BLOCK)
+        np.take(flat, off[reps[rows], None] + base[reps], out=a_mat[rows])
+        if merged:  # one rounding: sqrt(d_i d_j)
+            a_mat[rows] *= np.sqrt(sizes[rows, None] * sizes)
+    return np.linalg.eigvalsh(a_mat), merged
 
 
 def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
@@ -232,7 +261,10 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     one BLAS thread) and less on cuts whose rows do;
     ``_NEGATIVITY_SECONDS`` is the estimate the CLI charges per 8^n.
     """
-    evals, _ = _merged_spectrum(partial_transpose(rho, cut))
+    _check_cut(rho, cut)
+    # rho^T_B = (rho^T_A)^T, that is rho^T_A again for a symmetric rho; the
+    # side without qubit 0 has its rows in runs of rho's entries
+    evals, _ = _merged_spectrum(rho.entries, cut.side_b if cut.side_a & 1 else cut.side_a)
     return float(np.abs(evals[evals < 0.0]).sum())
 
 

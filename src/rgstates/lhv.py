@@ -131,16 +131,18 @@ def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
     """Value of the Bell operator under one noncontextual assignment.
 
     Each element's term is its sign times the local value of its Pauli code
-    at every qubit; the qubits are multiplied in one at a time, each read as
-    one base-4 digit of the cells, so only vectors of length 2^n are held.
+    at every qubit.  Qubits k and k+1 are multiplied in together, read as
+    one base-16 digit of the cells from the 16-entry product of their local
+    values, so only vectors of length 2^n are held.  For odd n the last
+    qubit is paired with a column of ones, whose digit is always 0.
     """
     if len(assignment.a_x) != g.n:
         raise ValueError(f"assignment is for {len(assignment.a_x)} qubits, graph has {g.n}")
     terms, cells = _stabilizer_table(g)
-    local = np.array([(1,) * g.n, assignment.a_x, assignment.a_z, assignment.a_y],
-                     dtype=np.int8)
-    for k in range(g.n):
-        terms *= local[cells >> 2 * k & 3, k]
+    local = np.array([(1,) * (g.n + 1), (*assignment.a_x, 1), (*assignment.a_z, 1),
+                      (*assignment.a_y, 1)], dtype=np.int8)
+    for k in range(0, g.n, 2):
+        terms *= np.outer(local[:, k + 1], local[:, k]).ravel()[cells >> 2 * k & 15]
     return float(terms.sum()) / (1 << g.n)
 
 
@@ -151,16 +153,18 @@ def lhv_bound(g: Graph) -> float:
     per qubit (qubit n-1 first); the X part of element J is J itself, so no
     two share a cell.  Contracting each qubit's axis with the 4x4 local-value
     table of a_z = +1 gives the value of each of the 4^n gauge-fixed
-    assignments, which take every value the 8^n assignments take.  Every
+    assignments, which take every value the 8^n assignments take.  One
+    (4^(n-1), 4) x (4, 4) matmul contracts the leading axis and makes its
+    output axis the trailing one, with no transposed copy.  Every
     partial sum is an integer of modulus <= 2^n <= 2^12 < 2^24 (the table
     budget), so float32 holds it exactly at half the memory of float64.
     """
     check_table(f"LHV value tensor of n={g.n}", 1 << 2 * g.n, 4)
     signs, cells = _stabilizer_table(g)
-    values = np.zeros((4,) * g.n, dtype=np.float32)
-    np.put(values, cells, signs)  # cells index the flat array
+    values = np.zeros(1 << 2 * g.n, dtype=np.float32)
+    values[cells] = signs
     for _ in range(g.n):  # the leading axis is always the next qubit's
-        values = np.tensordot(values, _LOCAL_VALUES, axes=(0, 1))
+        values = values.reshape(4, -1).T @ _LOCAL_VALUES.T
     # no np.abs: that would be another 4^n temporary
     return float(max(values.max(), -values.min())) / (1 << g.n)
 

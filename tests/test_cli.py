@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -378,6 +379,29 @@ def test_usage_errors_exit_2(capsys):
             (("lhv-threshold", "--graph", "star:3", "--lhv-bound", "1.5"),
              "--lhv-bound must be in (0, 1], got 1.5")):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_single_command_parser_matches_the_full_one(capsys, monkeypatch):
+    # main builds only the invoked subparser; help, usage and errors must not notice
+    names = [name for name, *_ in cli._COMMANDS]
+    full = _subparsers(cli.build_parser()).choices
+    assert list(full) == names
+    for name in names:
+        single = _subparsers(cli.build_parser(name)).choices
+        assert list(single) == [name]
+        assert single[name].format_help() == full[name].format_help(), name
+    inputs = [(), ("--help",), ("bogus",), *((name,) for name in names),
+              ("threshold", "--graph", "path:4", "extra"),
+              ("dim", "--graph", "path:4", "--bogus", "1")]
+    outputs = [run(capsys, *argv) for argv in inputs]
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    for argv, output in zip(inputs, outputs):
+        assert run(capsys, *argv) == output, argv
 
 
 def test_size_cap_exits_1(capsys):

@@ -451,6 +451,12 @@ def test_merge_finds_every_repeated_row():
         for p in (0.5, 1.0, float(rng.uniform(0.05, 0.95))):
             rho = randomize(g, p)
             cut = Bipartition(g.n, int(rng.integers(1, (1 << g.n) - 1)))
-            for m in (rho.entries, partial_transpose(rho, cut)):
+            pt = partial_transpose(rho, cut)
+            for m in (rho.entries, pt):
                 distinct = len(np.unique(m.view(np.uint64), axis=0))
                 assert len(density._merged_spectrum(m)[0]) == distinct
+            # the partial transpose read in place from rho, on either side of the
+            # cut (rho is symmetric): the same rows, the same solve
+            evals = density._merged_spectrum(pt)[0]
+            for side in (cut.side_a, cut.side_b):
+                assert np.array_equal(density._merged_spectrum(rho.entries, side)[0], evals)
