@@ -239,7 +239,8 @@ def _merged_spectrum(m: np.ndarray, side_a: int = 0) -> tuple[np.ndarray, bool]:
     joined = np.flatnonzero(rep != index)
     for a in range(0, len(joined), _ROW_BLOCK):
         rows = joined[a:a + _ROW_BLOCK]
-        rows = rows[(bits(rows) != bits(rep[rows])).any(axis=1)]
+        firsts, back = np.unique(rep[rows], return_inverse=True)  # each read once
+        rows = rows[(bits(firsts)[back] != bits(rows)).any(axis=1)]
         rep[rows] = rows
     reps = np.flatnonzero(rep == index)
     merged = len(reps) < dim

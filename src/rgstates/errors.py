@@ -18,7 +18,9 @@ The other limits are not costs:
 - ``graph.MAX_COVER_VERTICES`` bounds the exact vertex cover, whose branch
   and bound has no up-front estimate;
 - ``graph.MAX_VERTICES`` bounds the memory of the adjacency ints, which are
-  not a numpy table.
+  not a numpy table.  The level-3/4 cluster counts, ``state.empty_overlap``
+  and the n <= 24 consumers (the subset walk, ``lhv``, the vertex cover)
+  read them; the overlap contraction plans on neighbour sets and does not.
 """
 
 # Bytes of one dense numpy table: a 4^12 float64 matrix, a 2^24 int64 vector.

@@ -52,10 +52,13 @@ def _subset_walk(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     check_table(f"subset walk of n={g.n}", 1 << g.n, 8)
     signs, cells = np.ones(1 << g.n, dtype=np.int8), np.zeros(1 << g.n, dtype=np.int64)
     for i, neighbours in enumerate(g.adjacency):  # J + 2^i for the J < 2^i
+        h = 1 << i
         # binary digits read in base 4 move bit j to bit 2j
         generator = 1 << 2 * i | 2 * int(f"{neighbours:b}", 4)
-        cells[1 << i:2 << i] = cells[:1 << i] ^ generator
-        signs[1 << i:2 << i] = signs[:1 << i] * (1 - 2 * (cells[:1 << i] >> 2 * i + 1 & 1))
+        np.bitwise_and(cells[:h], 2 << 2 * i, out=cells[h:2 * h])  # z_i of J, the flip
+        signs[h:2 * h] = signs[:h]
+        np.negative(signs[h:2 * h], out=signs[h:2 * h], where=cells[h:2 * h] != 0)
+        np.bitwise_xor(cells[:h], generator, out=cells[h:2 * h])
     return signs, cells
 
 

@@ -115,30 +115,24 @@ def _contraction_plan(g: Graph, max_width: float = float("inf")):
     vertices contribute a factor 1 and get no step.  Planning stops, with the
     steps so far, as soon as the frontier grows past ``max_width``.
     """
-    adj = g.adjacency
-    rest = (1 << g.n) - 1
+    adj = [set() for _ in range(g.n)]
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    rest = set(range(g.n))
     remaining = [0] * g.n  # unintroduced neighbours of each frontier vertex
-    closing = 0  # frontier vertices with one unintroduced neighbour left
-    border = 0  # unintroduced neighbours of the frontier
+    closing = set()  # frontier vertices with one unintroduced neighbour left
+    border = set()  # unintroduced neighbours of the frontier
     front, steps, width = [], [], 0
     while rest:
-        best = None
-        cands = border or rest
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            v = low.bit_length() - 1
-            later = adj[v] & rest
-            key = ((later != 0) - (adj[v] & closing).bit_count(), later.bit_count(), v)
-            if best is None or key < best:
-                best = key
-        v = best[2]
-        rest ^= 1 << v
+        v = min(border or rest, key=lambda c: (
+            bool(adj[c] & rest) - len(adj[c] & closing), len(adj[c] & rest), c))
+        rest.discard(v)
         border = (border | adj[v]) & rest
         if not adj[v]:
             continue
-        earlier = [u for u in front if adj[v] >> u & 1]
-        remaining[v] = (adj[v] & rest).bit_count()
+        earlier = [u for u in front if u in adj[v]]
+        remaining[v] = len(adj[v] & rest)
         for u in earlier:
             remaining[u] -= 1
         done = [u for u in earlier if not remaining[u]]
@@ -153,9 +147,9 @@ def _contraction_plan(g: Graph, max_width: float = float("inf")):
             done.append(v)
         for u in earlier + [v]:
             if remaining[u] == 1:
-                closing |= 1 << u
+                closing.add(u)
             else:
-                closing &= ~(1 << u)
+                closing.discard(u)
         front = [u for u in front if u not in done]
         steps.append((v, replaced, [u for u in earlier if u != replaced], done))
     return steps, width

@@ -389,3 +389,57 @@ def brute_lattice_edges(sizes, wrap):
         if sum(steps) == 1:
             edges.append((a, b))
     return edges
+
+
+def bitmask_contraction_plan(g, max_width=float("inf")):
+    """Steps and widest frontier of ``witness._contraction_plan``, over n-bit ints.
+
+    The planner's earlier form: ``rest``, ``border`` and ``closing`` are
+    vertex bitmasks and the candidates are scanned lowest bit first, so it
+    pins the greedy order (least frontier growth, fewest unintroduced
+    neighbours, lowest index) independently of the neighbour-set code.
+    """
+    adj = g.adjacency
+    rest = (1 << g.n) - 1
+    remaining = [0] * g.n  # unintroduced neighbours of each frontier vertex
+    closing = 0  # frontier vertices with one unintroduced neighbour left
+    border = 0  # unintroduced neighbours of the frontier
+    front, steps, width = [], [], 0
+    while rest:
+        best = None
+        cands = border or rest
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            later = adj[v] & rest
+            key = ((later != 0) - (adj[v] & closing).bit_count(), later.bit_count(), v)
+            if best is None or key < best:
+                best = key
+        v = best[2]
+        rest ^= 1 << v
+        border = (border | adj[v]) & rest
+        if not adj[v]:
+            continue
+        earlier = [u for u in front if adj[v] >> u & 1]
+        remaining[v] = (adj[v] & rest).bit_count()
+        for u in earlier:
+            remaining[u] -= 1
+        done = [u for u in earlier if not remaining[u]]
+        replaced = done.pop(0) if done else None
+        if replaced is not None:
+            front.remove(replaced)
+        front.append(v)
+        width = max(width, len(front))
+        if width > max_width:
+            break
+        if not remaining[v]:
+            done.append(v)
+        for u in earlier + [v]:
+            if remaining[u] == 1:
+                closing |= 1 << u
+            else:
+                closing &= ~(1 << u)
+        front = [u for u in front if u not in done]
+        steps.append((v, replaced, [u for u in earlier if u != replaced], done))
+    return steps, width

@@ -15,8 +15,8 @@ from rgstates.witness import (_CLUSTER_WEIGHTS, _WEIGHT_DENOMINATOR,
                               _cluster_coefficients, _contraction_coefficients,
                               _contraction_plan, _level_coefficients)
 from conftest import graphs
-from oracles import (CLUSTER_TYPE_EDGES, brute_level_coefficients, brute_randomization_overlap,
-                     random_graph)
+from oracles import (CLUSTER_TYPE_EDGES, bitmask_contraction_plan, brute_level_coefficients,
+                     brute_randomization_overlap, random_graph)
 
 P_GRID = [k / 10 for k in range(11)]
 
@@ -193,13 +193,29 @@ def test_cluster_admission_bounds_work():
     assert approx_overlap(generate("complete:400"), 0.999, 3) > 0.0
 
 
-@pytest.mark.parametrize("spec, width", [
+CONTRACTION_WIDTHS = [
     ("path:12", 1), ("star:9", 2), ("cycle:15", 2), ("grid:2x6", 2),
     ("grid:3x4", 3), ("grid:5x5", 5), ("grid:6x6", 6), ("complete:6", 5),
     ("grid3:3x3x3", 8), ("empty:4", 0),
-])
+]
+
+
+@pytest.mark.parametrize("spec, width", CONTRACTION_WIDTHS)
 def test_contraction_widths(spec, width):
     assert _contraction_plan(generate(spec))[1] == width
+
+
+def test_contraction_plan_matches_bitmask_planner():
+    # the same greedy steps, tie-breaks and early stop as the n-bit int planner
+    rng = np.random.default_rng(43)
+    cases = [generate(spec) for spec, _ in CONTRACTION_WIDTHS]
+    for _ in range(300):
+        n, density = int(rng.integers(1, 17)), rng.random()
+        cases.append(Graph(n, tuple(e for e in itertools.combinations(range(n), 2)
+                                    if rng.random() < density)))
+    for g in cases:
+        for max_width in (float("inf"), 1, 2, 3, 4, 5):
+            assert _contraction_plan(g, max_width) == bitmask_contraction_plan(g, max_width)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
