@@ -348,7 +348,7 @@ _COMMANDS = (
     ("cover", "minimum vertex cover size", _cmd_cover, (_GRAPH,)),
     ("sample", "Monte Carlo preparation samples", _cmd_sample,
      (_GRAPH, _P, ("--shots", dict(type=int, default=10000)),
-      ("--seed", dict(type=int, default=0)), _threads("a sample is one stream"))),
+      ("--seed", dict(type=int, default=0)), _threads("a seed gives one sample"))),
     ("sweep", "p-grid sweep of one quantity", _cmd_sweep,
      (_GRAPH, _level("exact"), ("--quantity", dict(required=True, choices=QUANTITIES)),
       ("--p-grid", dict(required=True, help="START:STOP:STEP, inclusive")),

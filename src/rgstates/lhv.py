@@ -48,6 +48,7 @@ from .witness import (DEFAULT_THRESHOLD_TOL, WitnessEvaluation, _check_tol,
 # the a_z = -1 choices repeat these values (module docstring), so they are left out
 _LOCAL_VALUES = np.array([(1, a_x, 1, a_y) for a_x in (1, -1) for a_y in (1, -1)],
                          dtype=np.float32)
+_BLOCK = 1 << 16  # stabilizer elements per step of the Y-pair flip and the Bell sum
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,9 @@ def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     site is a cell digit with both bits set.
     """
     signs, cells = _subset_walk(g)  # its table check covers the 2^n tables here
-    signs[np.bitwise_count(cells & cells >> 1 & 0x5555_5555_5555_5555) & 2 != 0] *= -1
+    for a in range(0, len(cells), _BLOCK):  # block temporaries, not 2^n int64 ones
+        c, s = cells[a:a + _BLOCK], signs[a:a + _BLOCK]
+        s[np.bitwise_count(c & c >> 1 & 0x5555_5555_5555_5555) & 2 != 0] *= -1
     return signs, cells
 
 
@@ -133,16 +136,20 @@ def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
     Each element's term is its sign times the local value of its Pauli code
     at every qubit.  Qubits k and k+1 are multiplied in together, read as
     one base-16 digit of the cells from the 16-entry product of their local
-    values, so only vectors of length 2^n are held.  For odd n the last
-    qubit is paired with a column of ones, whose digit is always 0.
+    values.  The digits are read ``_BLOCK`` elements at a time, so beside the
+    table only block temporaries are held.  For odd n the last qubit is
+    paired with a column of ones, whose digit is always 0.
     """
     if len(assignment.a_x) != g.n:
         raise ValueError(f"assignment is for {len(assignment.a_x)} qubits, graph has {g.n}")
     terms, cells = _stabilizer_table(g)
     local = np.array([(1,) * (g.n + 1), (*assignment.a_x, 1), (*assignment.a_z, 1),
                       (*assignment.a_y, 1)], dtype=np.int8)
-    for k in range(0, g.n, 2):
-        terms *= np.outer(local[:, k + 1], local[:, k]).ravel()[cells >> 2 * k & 15]
+    pairs = [np.outer(local[:, k + 1], local[:, k]).ravel() for k in range(0, g.n, 2)]
+    for a in range(0, len(cells), _BLOCK):
+        c, t = cells[a:a + _BLOCK], terms[a:a + _BLOCK]
+        for k, pair in enumerate(pairs):
+            t *= pair[c >> 4 * k & 15]
     return float(terms.sum()) / (1 << g.n)
 
 

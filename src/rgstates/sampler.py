@@ -3,15 +3,28 @@
 The per-edge gates all commute and each keeps its edge independently with
 probability p, so the mask histogram of ``shots`` preparation runs is one
 multinomial draw over edge masks.  It is drawn by splitting the shot count
-edge by edge on one ``np.random.default_rng(seed)`` stream: each seed gives
-one fixed sample.  The split holds two int64 prefix arrays, allocated once
-at the most prefixes the sample can reach, one byte per live prefix and one
-block of ``_DRAW_BLOCK`` temporaries.  A sample is the mask width |E| plus
-two read-only int64 arrays, the distinct masks in ascending order and their
-tallies; the ``counts`` dict view is built only when it is read.  The JSON
-export is built in row blocks of ``_JSON_ROWS`` masks: ``sample_to_json``
-joins them, at about two copies of its text, and the ``sample`` command
-writes them to stdout one at a time, at about one block.
+edge by edge over prefixes, the distinct masks so far and their tallies.  A
+prefix of one shot decides an edge on one random byte: with t = floor(256p),
+it keeps the edge when the byte is below t, or equals t and a double is
+below 256p - t.  That is Bernoulli(ceil(p 2^61) / 2^61), exact bits with a
+tie broken by more bits (Knuth & Yao 1976).  A prefix of 2..8 shots keeps
+as many shots as the first c bytes of one 64-bit word decide, and a larger
+one draws a binomial.  The bytes and words, the tie doubles and the
+binomials come from three generators spawned from ``SeedSequence(seed)``,
+each read in ascending prefix order within an edge, so each seed gives one
+fixed sample, whatever the slice size ``_DRAW_BLOCK``.
+
+The split holds two int64 prefix arrays, allocated once at the most
+prefixes the sample can reach, one byte of draws per live prefix and one
+block of ``_DRAW_BLOCK`` temporaries.  The masks are then sorted in place,
+each carrying its tally in its low bits (the masks are distinct), unless
+|E| plus the bit length of the largest tally passes 63, when an argsort
+index and two gathered copies are made.  A sample is the mask width |E|
+plus two read-only int64 arrays, the distinct masks in ascending order and
+their tallies; the ``counts`` dict view is built only when it is read.  The
+JSON export is built in row blocks of ``_JSON_ROWS`` masks:
+``sample_to_json`` joins them, at about two copies of its text, and the
+``sample`` command writes them to stdout one at a time, at about one block.
 """
 
 from __future__ import annotations
@@ -33,6 +46,11 @@ _DRAW_BLOCK = 1 << 16  # prefixes per slice of the per-edge draws and pass
 _JSON_ROWS = 1 << 12  # masks per piece of the JSON export
 
 _DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+_WORD_SHOTS = 8  # a prefix of 2.._WORD_SHOTS shots is split by the bytes of one word
+# the low c bytes of a word of byte flags: bit 0 of each of the first c bytes
+_FIRST_BYTES = np.array([0x0101_0101_0101_0101 & (1 << 8 * c) - 1
+                         for c in range(_WORD_SHOTS + 1)], dtype="<u8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +76,9 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
                        threads: int = 1) -> PreparationSample:
     """Draw ``shots`` independent edge masks, each edge kept with probability ``p``.
 
+    More exactly with probability ceil(p 2^61) / 2^61 (module docstring).
     ``threads`` must be at least 1 and has no effect: each seed gives one
-    fixed sample, drawn on one stream.
+    fixed sample.
     """
     _check_p(p)
     if not 1 <= shots < (1 << 63):
@@ -76,46 +95,82 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     # in the first ``live`` slots; a page is touched only when a prefix
     # reaches it.  A prefix whose shots all go one way is updated in place;
     # one that splits keeps its dropped shots and appends its kept ones as a
-    # child.  Per edge, the uniforms decide the single-shot prefixes, then
-    # one pass over slices of prefixes draws the binomials of the multi-shot
-    # ones in ascending order, appends the children and sets the edge bit.
-    # Past the table budget, the children are only counted, so a refusal
-    # names the size the edge needed.
-    rng = np.random.default_rng(seed)
+    # child.  Per edge, one byte per prefix is drawn for the single-shot
+    # prefixes, then one pass over slices of prefixes decides every prefix
+    # in ascending order, appends the children and sets the edge bit.  Past
+    # the table budget, the children are only counted, so a refusal names
+    # the size the edge needed.
+    words, doubles, counts = np.random.SeedSequence(seed).spawn(3)
+    raw = np.random.PCG64(words).random_raw  # the bytes, and the words of 2..8 shots
+    ties, binomials = np.random.default_rng(doubles), np.random.default_rng(counts)
+    t = int(256 * p)  # a byte keeps the edge below t, and on t if a double is below
+    frac = 256 * p - t  # exact (Sterbenz): 256p < t + 1 <= 2t for t >= 1
     size = min(shots, 1 << e, MAX_SAMPLE_PATTERNS)
     masks = np.empty(size, dtype=np.int64)
     tallies = np.empty(size, dtype=np.int64)
     masks[0], tallies[0] = 0, shots
     live = 1
     for k in range(e):
-        keep = np.empty(live, dtype=bool)  # decides the single-shot prefixes
-        for a in range(0, live, _DRAW_BLOCK):
-            np.less(rng.random(min(_DRAW_BLOCK, live - a)), p, out=keep[a:a + _DRAW_BLOCK])
+        draws = _bytes(raw(-(-live // 8)))  # one byte per prefix, read by the single-shot ones
         grown = live
         for a in range(0, live, _DRAW_BLOCK):
             b = min(a + _DRAW_BLOCK, live)
+            keep = draws[a:b] < t
             block = a + np.flatnonzero(tallies[a:b] > 1)
             held = tallies[block]
-            kept = rng.binomial(held, p)
-            whole = kept == held
-            keep[block] = whole
-            split = (kept > 0) & ~whole
-            parents, children = block[split], kept[split]
-            end = grown + len(parents)
-            if end <= MAX_SAMPLE_PATTERNS:
-                tallies[parents] -= children
-                masks[grown:end] = masks[parents] | (1 << k)
-                tallies[grown:end] = children
-            grown = end
-            masks[a:b] |= keep[a:b] * (1 << k)
+            few = held <= _WORD_SHOTS
+            rows = _bytes(raw(np.count_nonzero(few))).reshape(-1, 8)
+            first = _FIRST_BYTES[held[few]]
+            decided = rows < t
+            if frac:  # a byte equal to t keeps the edge if its double is below frac
+                lone = np.flatnonzero(draws[a:b] == t)
+                lone = lone[tallies[a + lone] == 1]
+                tied = rows == t
+                tied.view("<u8")[:, 0] &= first
+                cells = np.flatnonzero(tied)
+                at = np.concatenate([a + lone << 3, block[few][cells >> 3] << 3 | cells & 7])
+                won = np.empty(len(at), dtype=bool)  # the doubles go in (prefix, byte) order
+                won[np.argsort(at)] = ties.random(len(at)) < frac
+                keep[lone[won[:len(lone)]]] = True
+                decided.ravel()[cells[won[len(lone):]]] = True
+            if len(block):
+                kept = np.empty_like(held)
+                kept[few] = np.bitwise_count(decided.view("<u8")[:, 0] & first)
+                kept[~few] = binomials.binomial(held[~few], p)
+                whole = kept == held
+                keep[block - a] = whole
+                split = (kept > 0) & ~whole
+                parents, children = block[split], kept[split]
+                end = grown + len(parents)
+                if end <= MAX_SAMPLE_PATTERNS:
+                    tallies[parents] -= children
+                    masks[grown:end] = masks[parents] | (1 << k)
+                    tallies[grown:end] = children
+                grown = end
+            masks[a:b] |= keep * (1 << k)
         check_table(f"sample prefixes at edge {k + 1} of {e}", grown, 8)
         live = grown
-    order = np.argsort(masks[:live])
-    masks = masks[order]  # one sorted copy at a time beside the prefix arrays
-    tallies = tallies[order]
+    masks, tallies = masks[:live], tallies[:live]
+    shift = int(tallies.max()).bit_length()
+    if e + shift < 64:  # sort the masks in place, each carrying its tally in its low bits
+        masks <<= shift
+        masks |= tallies
+        masks.sort()
+        np.bitwise_and(masks, (1 << shift) - 1, out=tallies)
+        masks >>= shift
+    else:
+        order = np.argsort(masks)
+        masks = masks[order]  # one sorted copy at a time beside the prefix arrays
+        tallies = tallies[order]
     masks.flags.writeable = tallies.flags.writeable = False
     return PreparationSample(shots=shots, seed=seed, width=e,
                              masks=masks, tallies=tallies)
+
+
+def _bytes(words: np.ndarray) -> np.ndarray:
+    """The bytes of 64-bit words, each word little-endian, without a copy on
+    little-endian machines."""
+    return words.astype("<u8", copy=False).view(np.uint8)
 
 
 def empirical_state(sample: PreparationSample, g: Graph) -> DensityMatrix:

@@ -304,19 +304,37 @@ def random_graph(rng, max_n, min_n=2):
 def split_sample_counts(g, p, shots, seed):
     """Mask histogram split edge by edge over a list of (bits, count) prefixes.
 
-    For edge k, one ``rng.random(len(level))`` uniform per prefix, then one
-    scalar ``rng.binomial(c, p)`` per prefix holding c > 1 shots, in list
-    order, all from ``np.random.default_rng(seed)``.  A single-shot prefix
-    keeps the edge when its uniform is < p.  A prefix that splits keeps its
-    dropped shots in place and appends its kept shots to the end of the list.
+    Three generators are spawned from ``SeedSequence(seed)``: 64-bit words,
+    tie doubles and binomials.  For edge k over L prefixes, ceil(L / 8) words
+    give one byte per prefix, byte i of the words read little-endian.  Then,
+    in list order, a prefix of one shot decides on its byte, one of 2..8
+    shots reads the next word and counts the decisions of its first c bytes,
+    and a larger one draws a scalar binomial.  A byte below t = floor(256 p)
+    keeps the edge; a byte equal to t draws the next double and keeps the
+    edge if it is below 256 p - t.  A prefix that splits keeps its dropped
+    shots in place and appends its kept shots to the end of the list.
     """
-    rng = np.random.default_rng(seed)
+    words, ties, binomials = (np.random.Generator(np.random.PCG64(s))
+                              for s in np.random.SeedSequence(seed).spawn(3))
+    t = int(256 * p)
+    frac = 256 * p - t
+
+    def decide(byte):
+        return byte < t or byte == t and ties.random() < frac
+
     level = [(0, shots)]
     for k in range(g.edge_count):
-        draws = rng.random(len(level)).tolist()
+        draws = b"".join(int(w).to_bytes(8, "little")
+                         for w in words.bit_generator.random_raw(-(-len(level) // 8)))
         children = []
         for i, (bits, c) in enumerate(level):
-            kept = int(rng.binomial(c, p)) if c > 1 else int(draws[i] < p)
+            if c == 1:
+                kept = int(decide(draws[i]))
+            elif c <= 8:
+                word = int(words.bit_generator.random_raw()).to_bytes(8, "little")
+                kept = sum(decide(byte) for byte in word[:c])
+            else:
+                kept = int(binomials.binomial(c, p))
             if kept == c:
                 level[i] = (bits | 1 << k, c)
             elif kept:

@@ -179,6 +179,24 @@ def test_bell_expectation_lhv_matches_dense_elements(data):
         assert bell_expectation_lhv(g, assign) == brute_bell_expectation(g, assign)
 
 
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_blocked_table_and_bell_sum_match_one_block(monkeypatch, block):
+    # n <= 9 fits one default block; smaller blocks must give the same values
+    rng = np.random.default_rng(77)
+    cases = []
+    for _ in range(12):
+        g = random_graph(rng, 9, min_n=1)
+        pm = [tuple(int(v) for v in rng.choice((1, -1), g.n)) for _ in range(3)]
+        cases.append((g, LhvAssignment(*pm)))
+    whole = [(lhv._stabilizer_table(g), bell_expectation_lhv(g, a)) for g, a in cases]
+    monkeypatch.setattr(lhv, "_BLOCK", block)
+    for (g, a), ((signs, cells), value) in zip(cases, whole):
+        blocked_signs, blocked_cells = lhv._stabilizer_table(g)
+        assert np.array_equal(blocked_signs, signs) and blocked_signs.dtype == np.int8
+        assert np.array_equal(blocked_cells, cells)
+        assert bell_expectation_lhv(g, a) == value
+
+
 def test_bell_expectation_lhv_refused_past_the_state_cap():
     # the table reads the graph-state signs, so the walk's table check refuses first
     g, assign = generate("empty:25"), LhvAssignment((1,) * 25, (1,) * 25, (1,) * 25)

@@ -169,6 +169,58 @@ def test_block_draws_keep_the_stream(monkeypatch, spec, p, shots, seed, block):
     assert sample.counts == split_sample_counts(g, p, shots, seed)
 
 
+@pytest.mark.parametrize("shots", [1, 8])  # single-shot bytes, and the bytes of one word
+@pytest.mark.parametrize("p", [2 ** -9, 1 / 256, 255 / 256, 1 - 2 ** -40])
+def test_byte_rule_keeps_each_edge_with_probability_p(p, shots):
+    # p = 2^-9 keeps only on a won tie, 1/256 and 255/256 have no tie double,
+    # and 1 - 2^-40 loses only on a lost tie.  The keep frequency of one edge,
+    # pooled over the 63 edges of many samples: a shift of 1/256 is >= 20 sigma
+    g = generate("path:64")
+    var = p * (1 - p)
+    samples = max(20, math.ceil(400 * var * 256 ** 2 / (shots * g.edge_count)))
+    kept = 0
+    for seed in range(samples):
+        sample = sample_preparation(g, p, shots, seed)
+        kept += sum(int(m).bit_count() * c for m, c in zip(sample.masks, sample.tallies))
+    n = samples * shots * g.edge_count
+    sigma = math.sqrt(var / n)
+    assert 20 * sigma <= 1 / 256
+    assert abs(kept / n - p) < 5 * sigma
+
+
+def test_joint_mask_law_of_small_samples():
+    # 8-shot samples: every prefix holds 1..8 shots, so each draw is a byte
+    # of the per-edge bytes or of a prefix's word, and none is a binomial
+    g, p, shots, samples = generate("star:4"), 0.3, 8, 2500
+    counts = np.zeros(8, dtype=np.int64)
+    for seed in range(samples):
+        sample = sample_preparation(g, p, shots, seed)
+        counts[sample.masks] += sample.tallies
+    n = shots * samples
+    for mask in range(8):
+        q = p ** mask.bit_count() * (1 - p) ** (3 - mask.bit_count())
+        assert abs(counts[mask] / n - q) < 5 * math.sqrt(q * (1 - q) / n)
+
+
+@pytest.mark.parametrize("spec, p, shots", [
+    ("path:64", 1.0, 2),  # |E| + bit length of the largest tally = 65: argsort
+    ("path:64", 0.5, 2),  # 64 or 65: argsort
+    ("path:63", 1.0, 3),  # 64: argsort
+    ("path:63", 0.5, 3),
+    ("path:62", 1.0, 3),  # 63: the masks carry their tallies, sorted in place
+    ("path:62", 0.5, 3),
+])
+def test_both_sorts_give_ascending_masks(spec, p, shots):
+    g = generate(spec)
+    for seed in range(5):
+        sample = sample_preparation(g, p, shots, seed)
+        assert np.all(np.diff(sample.masks) > 0) and np.all(sample.masks >= 0)
+        assert np.all(sample.tallies > 0) and int(sample.tallies.sum()) == shots
+        assert sample.counts == split_sample_counts(g, p, shots, seed)
+    if p == 1.0:
+        assert sample.counts == {(1 << g.edge_count) - 1: shots}
+
+
 def test_sample_json_schema():
     sample = sample_preparation(Graph(2, ((0, 1),)), 1.0, 10, 7)
     doc = json.loads(sample_to_json(sample, graph_spec="file:g.json", p=1.0))
