@@ -18,13 +18,14 @@ from math import isfinite
 from pathlib import Path
 
 from .errors import GraphSpecError, SizeLimitError, check_time
-from .graph import Graph, min_vertex_cover, parse_graph
+from .graph import Graph, min_vertex_cover, parse_graph, spec_edge_count
 from .density import (Bipartition, export_density, negativity, randomize,
                       subgraph_space_dimension, _NEGATIVITY_SECONDS)
 from .witness import (DEFAULT_THRESHOLD_TOL, GME_CONSTANT, gme_threshold,
                       gme_witness_value, _overlap_function)
 from .lhv import lhv_bound, lhv_threshold
-from .sampler import sample_preparation, _json_pieces
+from .sampler import sample_preparation, _check_width, _json_pieces
+from .state import _check_word_edges
 
 QUANTITIES = ("overlap", "gme_witness", "lhv_witness", "negativity", "rank")
 FIG_TARGETS = ("fig4", "fig5", "fig6", "fig7", "fig9")
@@ -127,7 +128,11 @@ def _parse_bipartition(text: str, n: int) -> Bipartition:
     return Bipartition(n, side_a)
 
 
-def _graph_of(args) -> Graph:
+def _graph_of(args, check_edges=None) -> Graph:
+    """The ``--graph`` of ``args``; ``check_edges`` refuses a family spec's
+    edge count before its edges are listed."""
+    if check_edges is not None and (edges := spec_edge_count(args.graph)) is not None:
+        check_edges(edges)
     return parse_graph(args.graph)
 
 
@@ -225,7 +230,7 @@ def _cmd_lhv_threshold(args):
 
 
 def _cmd_dim(args):
-    _emit_json({"dim": subgraph_space_dimension(_graph_of(args))})
+    _emit_json({"dim": subgraph_space_dimension(_graph_of(args, _check_word_edges))})
     return 0
 
 
@@ -235,7 +240,7 @@ def _cmd_cover(args):
 
 
 def _cmd_sample(args):
-    g = _graph_of(args)
+    g = _graph_of(args, _check_width)
     p = _parse_p(args.p)
     sample = sample_preparation(g, p, args.shots, args.seed,
                                 threads=_parse_threads(args.threads))

@@ -131,6 +131,19 @@ def generate(spec: str) -> Graph:
     numbered row-major, with ``cycle`` closed into a ring.  The vertex cap and
     the edge list's table budget are checked before any edge is listed.
     """
+    family, sizes, n, _ = _family(spec)
+    if family == "empty":
+        return Graph(n, ())
+    if family == "complete":
+        return Graph(n, tuple(combinations(range(n), 2)))
+    if family == "star":
+        return Graph(n, tuple((0, i) for i in range(1, n)))
+    return Graph(n, _lattice_edges(sizes, wrap=family == "cycle"))
+
+
+def _family(spec: str) -> tuple[str, list[int], int, int]:
+    """(family, sizes, n, |E|) of a ``family:size`` descriptor, |E| from the
+    family's formula, with the vertex cap and the edge list's budget checked."""
     m = _FAMILY_RE.match(spec.strip())
     if not m:
         raise GraphSpecError(f"cannot parse graph spec {spec!r}")
@@ -147,13 +160,17 @@ def generate(spec: str) -> Graph:
     lattice = sum((s - 1) * n // s for s in sizes) + (family == "cycle")
     edges = {"empty": 0, "complete": comb(n, 2), "star": n - 1}.get(family, lattice)
     check_table(f"edge list of n={n}", edges, 16)
-    if family == "empty":
-        return Graph(n, ())
-    if family == "complete":
-        return Graph(n, tuple(combinations(range(n), 2)))
-    if family == "star":
-        return Graph(n, tuple((0, i) for i in range(1, n)))
-    return Graph(n, _lattice_edges(sizes, wrap=family == "cycle"))
+    return family, sizes, n, edges
+
+
+def spec_edge_count(text: str) -> int | None:
+    """|E| of the graph ``parse_graph(text)`` would build, without listing its
+    edges: from the formula of a family spec (with the checks of
+    ``generate``), or None for a JSON document or ``file:PATH``."""
+    s = text.strip()
+    if s.startswith(("{", "file:")):
+        return None
+    return _family(s)[3]
 
 
 def symmetric_difference(g: Graph, f: Graph) -> Graph:

@@ -4,27 +4,31 @@ The per-edge gates all commute and each keeps its edge independently with
 probability p, so the mask histogram of ``shots`` preparation runs is one
 multinomial draw over edge masks.  It is drawn by splitting the shot count
 edge by edge over prefixes, the distinct masks so far and their tallies.  A
-prefix of one shot decides an edge on one random byte: with t = floor(256p),
-it keeps the edge when the byte is below t, or equals t and a double is
-below 256p - t.  That is Bernoulli(ceil(p 2^61) / 2^61), exact bits with a
-tie broken by more bits (Knuth & Yao 1976).  A prefix of 2..8 shots keeps
-as many shots as the first c bytes of one 64-bit word decide, and a larger
-one draws a binomial.  The bytes and words, the tie doubles and the
+prefix of more than ``_SPLIT_SHOTS`` shots, or of more than 2^r with r
+edges left, is split at each edge by a binomial.  A smaller one leaves the
+split as that many single shots, each deciding its r edges at once on the
+first r bytes of its own ceil(r / 8) random words: with t = floor(256p), a
+byte keeps its edge when it is below t, or equals t and a double is below
+256p - t.  That is Bernoulli(ceil(p 2^61) / 2^61), exact bits with a tie
+broken by more bits (Knuth & Yao 1976).  The words, the tie doubles and the
 binomials come from three generators spawned from ``SeedSequence(seed)``,
-each read in ascending prefix order within an edge, so each seed gives one
-fixed sample, whatever the slice size ``_DRAW_BLOCK``.
+each read in ascending prefix (and shot, and edge) order within an edge, so
+each seed gives one fixed sample, whatever the slice sizes ``_DRAW_BLOCK``
+and ``_EXPAND_BLOCK``.
 
-The split holds two int64 prefix arrays, allocated once at the most
-prefixes the sample can reach, one byte of draws per live prefix and one
-block of ``_DRAW_BLOCK`` temporaries.  The masks are then sorted in place,
-each carrying its tally in its low bits (the masks are distinct), unless
-|E| plus the bit length of the largest tally passes 63, when an argsort
-index and two gathered copies are made.  A sample is the mask width |E|
-plus two read-only int64 arrays, the distinct masks in ascending order and
-their tallies; the ``counts`` dict view is built only when it is read.  The
-JSON export is built in row blocks of ``_JSON_ROWS`` masks:
-``sample_to_json`` joins them, at about two copies of its text, and the
-``sample`` command writes them to stdout one at a time, at about one block.
+The live prefixes and the finished masks are two pairs of int64 arrays,
+each allocated once at the most entries the sample can reach (a prefix of c
+shots adds at most min(c, 2^r) masks), beside one slice of temporaries.
+The masks are then sorted in place, each carrying its tally in its low
+bits, unless |E| plus the bit length of the largest tally passes 63, when
+an argsort index and two gathered copies are made; the equal masks that
+siblings of one expanded prefix drew are then joined in place.  A sample
+is the mask width |E| plus two read-only int64 arrays, the distinct masks
+in ascending order and their tallies; the ``counts`` dict view is built
+only when it is read.  The JSON export is built in row blocks of
+``_JSON_ROWS`` masks: ``sample_to_json`` joins them, at about two copies of
+its text, and the ``sample`` command writes them to stdout one at a time,
+at about one block.
 """
 
 from __future__ import annotations
@@ -41,16 +45,13 @@ from .density import DensityMatrix, subgraph_mixture
 from .state import _WORD_EDGES
 from .witness import _check_p
 
-MAX_SAMPLE_PATTERNS = MAX_TABLE_BYTES // 8  # live prefixes: masks and tallies are a table each
-_DRAW_BLOCK = 1 << 16  # prefixes per slice of the per-edge draws and pass
+MAX_SAMPLE_PATTERNS = MAX_TABLE_BYTES // 8  # sample entries: masks and tallies are a table each
+_SPLIT_SHOTS = 64  # a prefix of more shots, or of more than 2^(edges left), draws binomials
+_DRAW_BLOCK = 1 << 16  # prefixes per slice of the per-edge split, masks per merge slice
+_EXPAND_BLOCK = 1 << 10  # prefixes per block of the expansion into single shots
 _JSON_ROWS = 1 << 12  # masks per piece of the JSON export
 
 _DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-
-_WORD_SHOTS = 8  # a prefix of 2.._WORD_SHOTS shots is split by the bytes of one word
-# the low c bytes of a word of byte flags: bit 0 of each of the first c bytes
-_FIRST_BYTES = np.array([0x0101_0101_0101_0101 & (1 << 8 * c) - 1
-                         for c in range(_WORD_SHOTS + 1)], dtype="<u8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +73,11 @@ class PreparationSample:
         return dict(self.counts)
 
 
+def _check_width(edges: int) -> None:
+    if edges > _WORD_EDGES:  # a mask is one nonnegative int64 word
+        raise SizeLimitError(f"sampling capped at |E|={_WORD_EDGES}, got {edges}")
+
+
 def sample_preparation(g: Graph, p: float, shots: int, seed: int,
                        threads: int = 1) -> PreparationSample:
     """Draw ``shots`` independent edge masks, each edge kept with probability ``p``.
@@ -88,69 +94,65 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     e = g.edge_count
-    if e > _WORD_EDGES:  # a mask is one nonnegative int64 word
-        raise SizeLimitError(f"sampling capped at |E|={_WORD_EDGES}, got {e}")
+    _check_width(e)
 
     # Live prefixes: masks over edges 0..k-1 and how many shots share each,
-    # in the first ``live`` slots; a page is touched only when a prefix
-    # reaches it.  A prefix whose shots all go one way is updated in place;
-    # one that splits keeps its dropped shots and appends its kept ones as a
-    # child.  Per edge, one byte per prefix is drawn for the single-shot
-    # prefixes, then one pass over slices of prefixes decides every prefix
-    # in ascending order, appends the children and sets the edge bit.  Past
-    # the table budget, the children are only counted, so a refusal names
-    # the size the edge needed.
+    # in the first ``live`` slots of their own two arrays; finished masks fill
+    # the first ``done`` slots of the sample's arrays.  Per edge, one pass over
+    # slices of live prefixes expands each prefix of at most ``cap`` shots
+    # into single shots, then splits the others by binomials: a prefix whose
+    # shots all go one way is updated, one that splits keeps its dropped shots
+    # and appends its kept ones as a child, and the kept prefixes move down
+    # over the expanded ones.  Past the table budget, the entries are only
+    # counted, so a refusal names the size the edge needed; a pass never
+    # holds more entries than the edge ends with, as each expanded prefix
+    # leaves at least one shot.
     words, doubles, counts = np.random.SeedSequence(seed).spawn(3)
-    raw = np.random.PCG64(words).random_raw  # the bytes, and the words of 2..8 shots
+    raw = np.random.PCG64(words).random_raw
     ties, binomials = np.random.default_rng(doubles), np.random.default_rng(counts)
     t = int(256 * p)  # a byte keeps the edge below t, and on t if a double is below
     frac = 256 * p - t  # exact (Sterbenz): 256p < t + 1 <= 2t for t >= 1
     size = min(shots, 1 << e, MAX_SAMPLE_PATTERNS)
     masks = np.empty(size, dtype=np.int64)
     tallies = np.empty(size, dtype=np.int64)
-    masks[0], tallies[0] = 0, shots
-    live = 1
+    live_masks = np.empty(size, dtype=np.int64)
+    live_tallies = np.empty(size, dtype=np.int64)
+    live_masks[0], live_tallies[0] = 0, shots
+    live, done = 1, 0
     for k in range(e):
-        draws = _bytes(raw(-(-live // 8)))  # one byte per prefix, read by the single-shot ones
-        grown = live
+        cap = min(_SPLIT_SHOTS, 1 << e - k)  # at most one shot per completion
+        staying, grown = 0, live  # ends of the prefixes staying live and of the children
         for a in range(0, live, _DRAW_BLOCK):
             b = min(a + _DRAW_BLOCK, live)
-            keep = draws[a:b] < t
-            block = a + np.flatnonzero(tallies[a:b] > 1)
-            held = tallies[block]
-            few = held <= _WORD_SHOTS
-            rows = _bytes(raw(np.count_nonzero(few))).reshape(-1, 8)
-            first = _FIRST_BYTES[held[few]]
-            decided = rows < t
-            if frac:  # a byte equal to t keeps the edge if its double is below frac
-                lone = np.flatnonzero(draws[a:b] == t)
-                lone = lone[tallies[a + lone] == 1]
-                tied = rows == t
-                tied.view("<u8")[:, 0] &= first
-                cells = np.flatnonzero(tied)
-                at = np.concatenate([a + lone << 3, block[few][cells >> 3] << 3 | cells & 7])
-                won = np.empty(len(at), dtype=bool)  # the doubles go in (prefix, byte) order
-                won[np.argsort(at)] = ties.random(len(at)) < frac
-                keep[lone[won[:len(lone)]]] = True
-                decided.ravel()[cells[won[len(lone):]]] = True
-            if len(block):
-                kept = np.empty_like(held)
-                kept[few] = np.bitwise_count(decided.view("<u8")[:, 0] & first)
-                kept[~few] = binomials.binomial(held[~few], p)
-                whole = kept == held
-                keep[block - a] = whole
-                split = (kept > 0) & ~whole
-                parents, children = block[split], kept[split]
-                end = grown + len(parents)
-                if end <= MAX_SAMPLE_PATTERNS:
-                    tallies[parents] -= children
-                    masks[grown:end] = masks[parents] | (1 << k)
-                    tallies[grown:end] = children
-                grown = end
-            masks[a:b] |= keep * (1 << k)
-        check_table(f"sample prefixes at edge {k + 1} of {e}", grown, 8)
-        live = grown
-    masks, tallies = masks[:live], tallies[:live]
+            m, c = live_masks[a:b], live_tallies[a:b]
+            leave = c <= cap
+            if leave.any():
+                end = done + int(c[leave].sum())
+                if end <= size:
+                    _expand(masks, tallies, done, m[leave], c[leave], k, e - k,
+                            raw, ties, t, frac)
+                done = end
+                m, c = m[~leave], c[~leave]
+            kept = binomials.binomial(c, p)
+            split = (kept > 0) & (kept < c)
+            end = grown + int(np.count_nonzero(split))
+            if end <= size:
+                live_masks[grown:end] = m[split] | 1 << k
+                live_tallies[grown:end] = kept[split]
+            grown = end
+            end = staying + len(c)
+            live_masks[staying:end] = np.where(kept == c, m | 1 << k, m)
+            live_tallies[staying:end] = np.where(split, c - kept, c)
+            staying = end
+        end = staying + grown - live
+        check_table(f"sample prefixes at edge {k + 1} of {e}", done + end, 8)
+        live_masks[staying:end] = live_masks[live:grown]  # the children follow
+        live_tallies[staying:end] = live_tallies[live:grown]
+        live = end
+    end = done + live
+    masks[done:end], tallies[done:end] = live_masks[:live], live_tallies[:live]
+    del live_masks, live_tallies
+    masks, tallies = masks[:end], tallies[:end]
     shift = int(tallies.max()).bit_length()
     if e + shift < 64:  # sort the masks in place, each carrying its tally in its low bits
         masks <<= shift
@@ -160,11 +162,64 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
         masks >>= shift
     else:
         order = np.argsort(masks)
-        masks = masks[order]  # one sorted copy at a time beside the prefix arrays
+        masks = masks[order]  # one sorted copy at a time beside the unsorted ones
         tallies = tallies[order]
+    end = _merge_runs(masks, tallies)
+    masks, tallies = masks[:end], tallies[:end]
     masks.flags.writeable = tallies.flags.writeable = False
     return PreparationSample(shots=shots, seed=seed, width=e,
                              masks=masks, tallies=tallies)
+
+
+def _expand(masks, tallies, at, prefixes, held, k, rest, raw, ties, t, frac):
+    """Write the ``held`` single shots of each prefix of ``prefixes`` into
+    ``masks[at:]`` and ``tallies[at:]``.  Each shot decides its ``rest``
+    remaining edges k, k + 1, ... on the first ``rest`` bytes of its own
+    ceil(rest / 8) words, with the tie doubles drawn in (shot, edge) order."""
+    row = -(-rest // 8)  # words per shot, and bytes of its packed decisions
+    for i in range(0, len(prefixes), _EXPAND_BLOCK):
+        c = held[i:i + _EXPAND_BLOCK]
+        n = int(c.sum())
+        draws = _bytes(raw(n * row))
+        keep = np.zeros(len(draws) + 64, dtype=bool)  # 8 bytes of padding once packed
+        np.less(draws, t, out=keep[:len(draws)])
+        if frac:
+            tied = np.flatnonzero(draws == t)
+            tied = tied[tied % (8 * row) < rest]
+            keep[tied[ties.random(len(tied)) < frac]] = True
+        # each shot's word is read from its first packed byte: its own
+        # decisions in the low ``rest`` bits, then bits masked off (its unread
+        # bytes, the next shot's, the padding)
+        packed = np.packbits(keep, bitorder="little")
+        drawn = np.ndarray(n, dtype="<i8", buffer=packed, strides=(row,))
+        drawn = (drawn & (1 << rest) - 1) << k
+        np.bitwise_or(np.repeat(prefixes[i:i + _EXPAND_BLOCK], c), drawn,
+                      out=masks[at:at + n])
+        tallies[at:at + n] = 1
+        at += n
+
+
+def _merge_runs(masks: np.ndarray, tallies: np.ndarray) -> int:
+    """Join the runs of equal sorted ``masks`` in place, summing their
+    ``tallies``, one slice at a time; the number of distinct masks."""
+    w = 0
+    for a in range(0, len(masks), _DRAW_BLOCK):
+        m, c = masks[a:a + _DRAW_BLOCK], tallies[a:a + _DRAW_BLOCK]
+        first = np.ones(len(m), dtype=bool)
+        np.not_equal(m[1:], m[:-1], out=first[1:])
+        first[0] = w == 0 or m[0] != masks[w - 1]
+        starts = np.flatnonzero(first)
+        if w == a and len(starts) == len(m):  # nothing joined yet: nothing moves
+            w += len(m)
+            continue
+        if not first[0]:  # the slice opens inside the last run
+            tallies[w - 1] += c[:starts[0] if len(starts) else len(m)].sum()
+        if not len(starts):
+            continue
+        masks[w:w + len(starts)] = m[starts]
+        tallies[w:w + len(starts)] = np.add.reduceat(c, starts)
+        w += len(starts)
+    return w
 
 
 def _bytes(words: np.ndarray) -> np.ndarray:

@@ -28,13 +28,17 @@ class GraphStateVector:
     signs: np.ndarray  # int8, entries in {+1, -1}, signs[0] == +1
 
 
+def _check_word_edges(edges: int) -> None:
+    if edges > _WORD_EDGES:
+        raise SizeLimitError(f"u(x) holds at most |E|={_WORD_EDGES}, got {edges}")
+
+
 def excitation_patterns(g: Graph) -> np.ndarray:
     """u(x) for every basis string x: bit k set when edge k has both endpoints in x.
 
     Edge k = (a, b), a < b, ORs bit k into the strided view of u where
     x_a = x_b = 1, so nothing beside u is held."""
-    if g.edge_count > _WORD_EDGES:
-        raise SizeLimitError(f"u(x) holds at most |E|={_WORD_EDGES}, got {g.edge_count}")
+    _check_word_edges(g.edge_count)
     check_table(f"excitation patterns of n={g.n}", 1 << g.n, 8)
     u = np.zeros(1 << g.n, dtype=np.int64)
     for k, (a, b) in enumerate(g.edges):  # axes: x above b, x_b, x between, x_a, x below a

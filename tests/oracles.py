@@ -15,11 +15,13 @@ evaluating the 8^n assignments one at a time in Python is too slow at n = 8.
 
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 
 from rgstates import Graph
 from rgstates.lhv import _stabilizer_table
+from rgstates.sampler import _SPLIT_SHOTS
 from rgstates.state import signed_sum
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -305,43 +307,43 @@ def split_sample_counts(g, p, shots, seed):
     """Mask histogram split edge by edge over a list of (bits, count) prefixes.
 
     Three generators are spawned from ``SeedSequence(seed)``: 64-bit words,
-    tie doubles and binomials.  For edge k over L prefixes, ceil(L / 8) words
-    give one byte per prefix, byte i of the words read little-endian.  Then,
-    in list order, a prefix of one shot decides on its byte, one of 2..8
-    shots reads the next word and counts the decisions of its first c bytes,
-    and a larger one draws a scalar binomial.  A byte below t = floor(256 p)
-    keeps the edge; a byte equal to t draws the next double and keeps the
-    edge if it is below 256 p - t.  A prefix that splits keeps its dropped
-    shots in place and appends its kept shots to the end of the list.
+    tie doubles and binomials.  At edge k, with r = |E| - k edges left, the
+    list is read in order.  A prefix of c <= min(_SPLIT_SHOTS, 2^r) shots
+    becomes c single shots; each reads the next ceil(r / 8) words and decides
+    edge k + j on byte j of them, read little-endian: a byte below
+    t = floor(256 p) keeps the edge, and a byte equal to t draws the next
+    double and keeps it if the double is below 256 p - t.  A larger prefix
+    draws a scalar binomial; if it splits, it keeps its dropped shots in
+    place and its kept shots go to the end of the list.  Equal single shots
+    are counted together.
     """
     words, ties, binomials = (np.random.Generator(np.random.PCG64(s))
                               for s in np.random.SeedSequence(seed).spawn(3))
     t = int(256 * p)
     frac = 256 * p - t
-
-    def decide(byte):
-        return byte < t or byte == t and ties.random() < frac
-
+    counts = Counter()
     level = [(0, shots)]
     for k in range(g.edge_count):
-        draws = b"".join(int(w).to_bytes(8, "little")
-                         for w in words.bit_generator.random_raw(-(-len(level) // 8)))
-        children = []
-        for i, (bits, c) in enumerate(level):
-            if c == 1:
-                kept = int(decide(draws[i]))
-            elif c <= 8:
-                word = int(words.bit_generator.random_raw()).to_bytes(8, "little")
-                kept = sum(decide(byte) for byte in word[:c])
-            else:
-                kept = int(binomials.binomial(c, p))
-            if kept == c:
-                level[i] = (bits | 1 << k, c)
-            elif kept:
-                level[i] = (bits, c - kept)
+        rest = g.edge_count - k
+        kept_level, children = [], []
+        for bits, c in level:
+            if c <= min(_SPLIT_SHOTS, 1 << rest):
+                for _ in range(c):
+                    draws = b"".join(int(w).to_bytes(8, "little") for w in
+                                     words.bit_generator.random_raw(-(-rest // 8)))
+                    shot = bits
+                    for j in range(rest):
+                        if draws[j] < t or draws[j] == t and ties.random() < frac:
+                            shot |= 1 << k + j
+                    counts[shot] += 1
+                continue
+            kept = int(binomials.binomial(c, p))
+            kept_level.append((bits | 1 << k, c) if kept == c else (bits, c - kept))
+            if 0 < kept < c:
                 children.append((bits | 1 << k, kept))
-        level += children
-    return dict(sorted(level))
+        level = kept_level + children
+    counts.update(dict(level))
+    return dict(sorted(counts.items()))
 
 
 def dict_sample_json(counts, *, shots, seed, graph_spec, p):

@@ -325,6 +325,28 @@ def test_sample_refuses_too_many_prefixes(capsys, monkeypatch, block):
                    " the limit is 8000 bytes per table\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("sample", "--graph", "complete:3000", "--p", "0.5"),
+     "error: sampling capped at |E|=63, got 4498500\n"),
+    (("dim", "--graph", "complete:3000"), "error: u(x) holds at most |E|=63, got 4498500\n"),
+    (("dim", "--graph", " complete:12 "), "error: u(x) holds at most |E|=63, got 66\n"),
+])
+def test_word_limit_refused_before_edges_are_listed(capsys, monkeypatch, argv, err):
+    # the family's formula gives |E|, so no edge is listed
+    def listing(spec):
+        raise AssertionError(f"{spec} was listed")
+    monkeypatch.setattr(rgstates.graph, "generate", listing)
+    assert run(capsys, *argv) == (1, "", err)
+
+
+def test_word_limit_of_listed_graphs(capsys, tmp_path):
+    path = tmp_path / "k12.json"
+    path.write_text(rgstates.serialize_graph(rgstates.generate("complete:12")))
+    for spec in (f"file:{path}", path.read_text()):
+        assert run(capsys, "sample", "--graph", spec, "--p", "0.5") == (
+            1, "", "error: sampling capped at |E|=63, got 66\n")
+
+
 def test_figs_rejects_threads_below_one(capsys, tmp_path):
     out_dir = tmp_path / "figs"
     code, out, err = run(capsys, "figs", "--target", "fig7", "--threads", "0",

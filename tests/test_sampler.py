@@ -134,9 +134,9 @@ def test_counts_are_edge_masks_summing_to_shots():
 
 
 def test_merged_counts_match_batchwise_oracle():
-    # complete:7: 21 edges, ~15 000 distinct masks of 50 000 shots; grid:4x4:
-    # 24 edges, nearly every shot its own mask, so the prefix arrays grow by
-    # doubling and most multi-shot prefixes leave the list within a few edges
+    # complete:7: 21 edges at p = 0.85, ~15 000 distinct masks of 50 000
+    # shots, many of them joined siblings of expanded prefixes; grid:4x4:
+    # 24 edges, nearly every shot its own mask, expanded about 10 edges in
     for spec, p, shots, seed in (("complete:7", 0.85, 50_000, 31),
                                  ("grid:4x4", 0.55, 20_000, 5)):
         g = generate(spec)
@@ -158,18 +158,41 @@ def test_merged_counts_match_batchwise_oracle():
 
 @pytest.mark.parametrize("block", [1, 7, 1000])
 @pytest.mark.parametrize("spec, p, shots, seed", [
-    ("complete:7", 0.85, 5000, 11),  # slices mix single- and multi-shot prefixes
+    ("complete:7", 0.85, 5000, 11),  # slices mix split and expanded prefixes
     ("grid:4x4", 0.55, 4000, 5),
 ])
 def test_block_draws_keep_the_stream(monkeypatch, spec, p, shots, seed, block):
-    # the per-edge pass over slices of ``block`` prefixes, against the one-list oracle
+    # the per-edge split, the expansion and the merge in slices of ``block``
+    # prefixes, shots' prefixes and masks, against the one-list oracle
     monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
+    monkeypatch.setattr(sampler, "_EXPAND_BLOCK", block)
     g = generate(spec)
     sample = sample_preparation(g, p, shots, seed)
     assert sample.counts == split_sample_counts(g, p, shots, seed)
 
 
-@pytest.mark.parametrize("shots", [1, 8])  # single-shot bytes, and the bytes of one word
+@pytest.mark.parametrize("block", [1, 3, sampler._DRAW_BLOCK])
+@pytest.mark.parametrize("spec, p, shots", [
+    ("path:4", 0.5, 8),  # 8 <= 2^3: expanded at edge 0, 8 shots over 8 masks
+    ("star:4", 0.3, 6),
+    ("path:6", 0.5, 40),  # split while over 2^(edges left), expanded near the end
+])
+def test_expanded_siblings_are_joined(monkeypatch, spec, p, shots, block):
+    # few edges left, so siblings of one expanded prefix often draw the same
+    # mask; the merge runs over slices of ``block`` sorted masks
+    monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
+    g = generate(spec)
+    joined = 0
+    for seed in range(20):
+        sample = sample_preparation(g, p, shots, seed)
+        assert np.all(np.diff(sample.masks) > 0)
+        assert np.all(sample.tallies > 0) and int(sample.tallies.sum()) == shots
+        assert sample.counts == split_sample_counts(g, p, shots, seed)
+        joined += int(np.count_nonzero(sample.tallies > 1))
+    assert joined > 0
+
+
+@pytest.mark.parametrize("shots", [1, 8])  # one shot, and eight shots of one expanded prefix
 @pytest.mark.parametrize("p", [2 ** -9, 1 / 256, 255 / 256, 1 - 2 ** -40])
 def test_byte_rule_keeps_each_edge_with_probability_p(p, shots):
     # p = 2^-9 keeps only on a won tie, 1/256 and 255/256 have no tie double,
@@ -189,8 +212,8 @@ def test_byte_rule_keeps_each_edge_with_probability_p(p, shots):
 
 
 def test_joint_mask_law_of_small_samples():
-    # 8-shot samples: every prefix holds 1..8 shots, so each draw is a byte
-    # of the per-edge bytes or of a prefix's word, and none is a binomial
+    # 8-shot samples on 3 edges: 8 <= 2^3, so the one prefix is expanded at
+    # edge 0 and each shot decides all three edges on bytes; no binomial
     g, p, shots, samples = generate("star:4"), 0.3, 8, 2500
     counts = np.zeros(8, dtype=np.int64)
     for seed in range(samples):
@@ -202,13 +225,34 @@ def test_joint_mask_law_of_small_samples():
         assert abs(counts[mask] / n - q) < 5 * math.sqrt(q * (1 - q) / n)
 
 
+@pytest.mark.parametrize("shots", [sampler._SPLIT_SHOTS, sampler._SPLIT_SHOTS + 1])
+@pytest.mark.parametrize("spec", ["star:4", "star:8"])
+def test_joint_mask_law_at_the_expansion_boundary(spec, shots):
+    # star:4 (3 edges): both shot counts are split by binomials until a
+    # prefix holds at most 2^(edges left); star:8 (7 edges): C = _SPLIT_SHOTS
+    # shots are expanded at edge 0, and C + 1 are split once, then expanded
+    g, p = generate(spec), 0.3
+    e = g.edge_count
+    samples = 2000
+    counts = np.zeros(1 << e, dtype=np.int64)
+    for seed in range(samples):
+        sample = sample_preparation(g, p, shots, seed)
+        counts[sample.masks] += sample.tallies
+    n = shots * samples
+    for mask in range(1 << e):
+        q = p ** mask.bit_count() * (1 - p) ** (e - mask.bit_count())
+        assert abs(counts[mask] / n - q) < 5 * math.sqrt(q * (1 - q) / n)
+
+
 @pytest.mark.parametrize("spec, p, shots", [
-    ("path:64", 1.0, 2),  # |E| + bit length of the largest tally = 65: argsort
-    ("path:64", 0.5, 2),  # 64 or 65: argsort
-    ("path:63", 1.0, 3),  # 64: argsort
-    ("path:63", 0.5, 3),
-    ("path:62", 1.0, 3),  # 63: the masks carry their tallies, sorted in place
+    ("path:64", 1.0, 2),  # |E| + bit length of the largest tally = 63 + 1: argsort
+    ("path:64", 0.5, 2),
+    ("path:63", 1.0, 3),  # 62 + 1: the masks carry their tallies, sorted in place,
+    ("path:63", 0.5, 3),  # and at p = 1 the three expanded shots are joined
+    ("path:62", 1.0, 3),
     ("path:62", 0.5, 3),
+    ("path:58", 1.0, 65),  # one prefix of 65 shots, never expanded: 57 + 7 = 64, argsort
+    ("path:57", 1.0, 65),  # 56 + 7 = 63: in place
 ])
 def test_both_sorts_give_ascending_masks(spec, p, shots):
     g = generate(spec)
