@@ -18,7 +18,7 @@ from math import isfinite
 from pathlib import Path
 
 from .errors import GraphSpecError, SizeLimitError, check_time
-from .graph import Graph, min_vertex_cover, parse_graph, spec_edge_count
+from .graph import Graph, min_vertex_cover, parse_graph
 from .density import (Bipartition, export_density, negativity, randomize,
                       subgraph_space_dimension, _NEGATIVITY_SECONDS)
 from .witness import (DEFAULT_THRESHOLD_TOL, GME_CONSTANT, gme_threshold,
@@ -131,9 +131,7 @@ def _parse_bipartition(text: str, n: int) -> Bipartition:
 def _graph_of(args, check_edges=None) -> Graph:
     """The ``--graph`` of ``args``; ``check_edges`` refuses a family spec's
     edge count before its edges are listed."""
-    if check_edges is not None and (edges := spec_edge_count(args.graph)) is not None:
-        check_edges(edges)
-    return parse_graph(args.graph)
+    return parse_graph(args.graph, check_edges)
 
 
 def _lhv_bound_for(g: Graph, supplied) -> float:

@@ -122,28 +122,16 @@ def _lattice_edges(sizes, wrap: bool) -> tuple[tuple[int, int], ...]:
     return tuple(zip(first, second))
 
 
-def generate(spec: str) -> Graph:
+def generate(spec: str, check_edges=None) -> Graph:
     """Build a named graph family from a ``family:size`` descriptor.
 
     Families: ``empty:N``, ``complete:N``, ``star:N`` (center = vertex 0),
     ``path:N``, ``cycle:N`` (N >= 3), ``grid:MxN``, ``grid3:IxJxK``.  The
     last four are one nearest-neighbour lattice in 1, 2 or 3 dimensions,
-    numbered row-major, with ``cycle`` closed into a ring.  The vertex cap and
-    the edge list's table budget are checked before any edge is listed.
+    numbered row-major, with ``cycle`` closed into a ring.  The vertex cap,
+    the edge list's table budget and ``check_edges``, if given, called with
+    the family's |E|, are checked before any edge is listed.
     """
-    family, sizes, n, _ = _family(spec)
-    if family == "empty":
-        return Graph(n, ())
-    if family == "complete":
-        return Graph(n, tuple(combinations(range(n), 2)))
-    if family == "star":
-        return Graph(n, tuple((0, i) for i in range(1, n)))
-    return Graph(n, _lattice_edges(sizes, wrap=family == "cycle"))
-
-
-def _family(spec: str) -> tuple[str, list[int], int, int]:
-    """(family, sizes, n, |E|) of a ``family:size`` descriptor, |E| from the
-    family's formula, with the vertex cap and the edge list's budget checked."""
     m = _FAMILY_RE.match(spec.strip())
     if not m:
         raise GraphSpecError(f"cannot parse graph spec {spec!r}")
@@ -160,17 +148,15 @@ def _family(spec: str) -> tuple[str, list[int], int, int]:
     lattice = sum((s - 1) * n // s for s in sizes) + (family == "cycle")
     edges = {"empty": 0, "complete": comb(n, 2), "star": n - 1}.get(family, lattice)
     check_table(f"edge list of n={n}", edges, 16)
-    return family, sizes, n, edges
-
-
-def spec_edge_count(text: str) -> int | None:
-    """|E| of the graph ``parse_graph(text)`` would build, without listing its
-    edges: from the formula of a family spec (with the checks of
-    ``generate``), or None for a JSON document or ``file:PATH``."""
-    s = text.strip()
-    if s.startswith(("{", "file:")):
-        return None
-    return _family(s)[3]
+    if check_edges is not None:
+        check_edges(edges)
+    if family == "empty":
+        return Graph(n, ())
+    if family == "complete":
+        return Graph(n, tuple(combinations(range(n), 2)))
+    if family == "star":
+        return Graph(n, tuple((0, i) for i in range(1, n)))
+    return Graph(n, _lattice_edges(sizes, wrap=family == "cycle"))
 
 
 def symmetric_difference(g: Graph, f: Graph) -> Graph:
@@ -316,8 +302,11 @@ def _graph_from_json(doc) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse a graph from a family spec, a JSON document, or ``file:PATH``."""
+def parse_graph(text: str, check_edges=None) -> Graph:
+    """Parse a graph from a family spec, a JSON document, or ``file:PATH``.
+
+    ``check_edges`` is called with a family spec's |E| before its edges are
+    listed (see ``generate``); it is not called on a document's edges."""
     s = text.strip()
     if s.startswith("{"):
         try:
@@ -334,7 +323,7 @@ def parse_graph(text: str) -> Graph:
         except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise GraphSpecError(f"invalid graph JSON in {path}: {exc}") from None
         return _graph_from_json(doc)
-    return generate(s)
+    return generate(s, check_edges)
 
 
 def serialize_graph(g: Graph) -> str:

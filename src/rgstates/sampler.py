@@ -10,25 +10,25 @@ split as that many single shots, each deciding its r edges at once on the
 first r bytes of its own ceil(r / 8) random words: with t = floor(256p), a
 byte keeps its edge when it is below t, or equals t and a double is below
 256p - t.  That is Bernoulli(ceil(p 2^61) / 2^61), exact bits with a tie
-broken by more bits (Knuth & Yao 1976).  The words, the tie doubles and the
-binomials come from three generators spawned from ``SeedSequence(seed)``,
-each read in ascending prefix (and shot, and edge) order within an edge, so
-each seed gives one fixed sample, whatever the slice sizes ``_DRAW_BLOCK``
-and ``_EXPAND_BLOCK``.
+broken by more bits (Knuth & Yao 1976).  Shots of one prefix that drew the
+same edges are joined before they are stored, so every stored mask is
+distinct.  The words, the tie doubles and the binomials come from three
+generators spawned from ``SeedSequence(seed)``, each read in ascending
+prefix (and shot, and edge) order within an edge, so each seed gives one
+fixed sample, whatever the slice sizes ``_DRAW_BLOCK`` and ``_EXPAND_BLOCK``.
 
 The live prefixes and the finished masks are two pairs of int64 arrays,
 each allocated once at the most entries the sample can reach (a prefix of c
 shots adds at most min(c, 2^r) masks), beside one slice of temporaries.
 The masks are then sorted in place, each carrying its tally in its low
-bits, unless |E| plus the bit length of the largest tally passes 63, when
-an argsort index and two gathered copies are made; the equal masks that
-siblings of one expanded prefix drew are then joined in place.  A sample
-is the mask width |E| plus two read-only int64 arrays, the distinct masks
-in ascending order and their tallies; the ``counts`` dict view is built
-only when it is read.  The JSON export is built in row blocks of
-``_JSON_ROWS`` masks: ``sample_to_json`` joins them, at about two copies of
-its text, and the ``sample`` command writes them to stdout one at a time,
-at about one block.
+bits (the masks are distinct), unless |E| plus the bit length of the
+largest tally passes 63, when an argsort index and two gathered copies are
+made.  A sample is the mask width |E| plus two read-only int64 arrays, the
+distinct masks in ascending order and their tallies; the ``counts`` dict
+view is built only when it is read.  The JSON export is built in row
+blocks of ``_JSON_ROWS`` masks: ``sample_to_json`` joins them, at about two
+copies of its text, and the ``sample`` command writes them to stdout one at
+a time, at about one block.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
     # over the expanded ones.  Past the table budget, the entries are only
     # counted, so a refusal names the size the edge needed; a pass never
     # holds more entries than the edge ends with, as each expanded prefix
-    # leaves at least one shot.
+    # leaves at least one distinct mask.
     words, doubles, counts = np.random.SeedSequence(seed).spawn(3)
     raw = np.random.PCG64(words).random_raw
     ties, binomials = np.random.default_rng(doubles), np.random.default_rng(counts)
@@ -127,11 +127,12 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
             m, c = live_masks[a:b], live_tallies[a:b]
             leave = c <= cap
             if leave.any():
-                end = done + int(c[leave].sum())
-                if end <= size:
-                    _expand(masks, tallies, done, m[leave], c[leave], k, e - k,
-                            raw, ties, t, frac)
-                done = end
+                for drawn, held in _expand(m[leave], c[leave], k, e - k,
+                                           raw, ties, t, frac):
+                    end = done + len(drawn)
+                    if end <= size:
+                        masks[done:end], tallies[done:end] = drawn, held
+                    done = end
                 m, c = m[~leave], c[~leave]
             kept = binomials.binomial(c, p)
             split = (kept > 0) & (kept < c)
@@ -164,18 +165,17 @@ def sample_preparation(g: Graph, p: float, shots: int, seed: int,
         order = np.argsort(masks)
         masks = masks[order]  # one sorted copy at a time beside the unsorted ones
         tallies = tallies[order]
-    end = _merge_runs(masks, tallies)
-    masks, tallies = masks[:end], tallies[:end]
     masks.flags.writeable = tallies.flags.writeable = False
     return PreparationSample(shots=shots, seed=seed, width=e,
                              masks=masks, tallies=tallies)
 
 
-def _expand(masks, tallies, at, prefixes, held, k, rest, raw, ties, t, frac):
-    """Write the ``held`` single shots of each prefix of ``prefixes`` into
-    ``masks[at:]`` and ``tallies[at:]``.  Each shot decides its ``rest``
-    remaining edges k, k + 1, ... on the first ``rest`` bytes of its own
-    ceil(rest / 8) words, with the tie doubles drawn in (shot, edge) order."""
+def _expand(prefixes, held, k, rest, raw, ties, t, frac):
+    """The single shots of each prefix of ``prefixes``, ``held`` of them,
+    per block of ``_EXPAND_BLOCK`` prefixes: its distinct masks, ascending,
+    and their tallies.  Each shot decides its ``rest`` remaining edges k,
+    k + 1, ... on the first ``rest`` bytes of its own ceil(rest / 8) words,
+    with the tie doubles drawn in (shot, edge) order."""
     row = -(-rest // 8)  # words per shot, and bytes of its packed decisions
     for i in range(0, len(prefixes), _EXPAND_BLOCK):
         c = held[i:i + _EXPAND_BLOCK]
@@ -193,33 +193,8 @@ def _expand(masks, tallies, at, prefixes, held, k, rest, raw, ties, t, frac):
         packed = np.packbits(keep, bitorder="little")
         drawn = np.ndarray(n, dtype="<i8", buffer=packed, strides=(row,))
         drawn = (drawn & (1 << rest) - 1) << k
-        np.bitwise_or(np.repeat(prefixes[i:i + _EXPAND_BLOCK], c), drawn,
-                      out=masks[at:at + n])
-        tallies[at:at + n] = 1
-        at += n
-
-
-def _merge_runs(masks: np.ndarray, tallies: np.ndarray) -> int:
-    """Join the runs of equal sorted ``masks`` in place, summing their
-    ``tallies``, one slice at a time; the number of distinct masks."""
-    w = 0
-    for a in range(0, len(masks), _DRAW_BLOCK):
-        m, c = masks[a:a + _DRAW_BLOCK], tallies[a:a + _DRAW_BLOCK]
-        first = np.ones(len(m), dtype=bool)
-        np.not_equal(m[1:], m[:-1], out=first[1:])
-        first[0] = w == 0 or m[0] != masks[w - 1]
-        starts = np.flatnonzero(first)
-        if w == a and len(starts) == len(m):  # nothing joined yet: nothing moves
-            w += len(m)
-            continue
-        if not first[0]:  # the slice opens inside the last run
-            tallies[w - 1] += c[:starts[0] if len(starts) else len(m)].sum()
-        if not len(starts):
-            continue
-        masks[w:w + len(starts)] = m[starts]
-        tallies[w:w + len(starts)] = np.add.reduceat(c, starts)
-        w += len(starts)
-    return w
+        drawn |= np.repeat(prefixes[i:i + _EXPAND_BLOCK], c)
+        yield np.unique(drawn, return_counts=True)  # siblings that drew the same edges
 
 
 def _bytes(words: np.ndarray) -> np.ndarray:

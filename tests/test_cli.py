@@ -333,9 +333,9 @@ def test_sample_refuses_too_many_prefixes(capsys, monkeypatch, block):
 ])
 def test_word_limit_refused_before_edges_are_listed(capsys, monkeypatch, argv, err):
     # the family's formula gives |E|, so no edge is listed
-    def listing(spec):
-        raise AssertionError(f"{spec} was listed")
-    monkeypatch.setattr(rgstates.graph, "generate", listing)
+    def listing(vertices, r):
+        raise AssertionError("the edges of complete were listed")
+    monkeypatch.setattr(rgstates.graph, "combinations", listing)
     assert run(capsys, *argv) == (1, "", err)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rgstates import (Graph, PreparationSample, SizeLimitError, empirical_state,
+from rgstates import (Graph, PreparationSample, SizeLimitError, empirical_state, errors,
                       generate, graph_state_vector, randomize, sample_preparation,
                       sample_to_json, sampler)
 from oracles import brute_mixture, dict_sample_json, random_graph, split_sample_counts
@@ -162,8 +162,8 @@ def test_merged_counts_match_batchwise_oracle():
     ("grid:4x4", 0.55, 4000, 5),
 ])
 def test_block_draws_keep_the_stream(monkeypatch, spec, p, shots, seed, block):
-    # the per-edge split, the expansion and the merge in slices of ``block``
-    # prefixes, shots' prefixes and masks, against the one-list oracle
+    # the per-edge split and the expansion in slices of ``block`` prefixes,
+    # against the one-list oracle
     monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
     monkeypatch.setattr(sampler, "_EXPAND_BLOCK", block)
     g = generate(spec)
@@ -171,7 +171,7 @@ def test_block_draws_keep_the_stream(monkeypatch, spec, p, shots, seed, block):
     assert sample.counts == split_sample_counts(g, p, shots, seed)
 
 
-@pytest.mark.parametrize("block", [1, 3, sampler._DRAW_BLOCK])
+@pytest.mark.parametrize("block", [1, 3, sampler._EXPAND_BLOCK])
 @pytest.mark.parametrize("spec, p, shots", [
     ("path:4", 0.5, 8),  # 8 <= 2^3: expanded at edge 0, 8 shots over 8 masks
     ("star:4", 0.3, 6),
@@ -179,8 +179,8 @@ def test_block_draws_keep_the_stream(monkeypatch, spec, p, shots, seed, block):
 ])
 def test_expanded_siblings_are_joined(monkeypatch, spec, p, shots, block):
     # few edges left, so siblings of one expanded prefix often draw the same
-    # mask; the merge runs over slices of ``block`` sorted masks
-    monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
+    # mask; they are joined in expansion blocks of ``block`` prefixes
+    monkeypatch.setattr(sampler, "_EXPAND_BLOCK", block)
     g = generate(spec)
     joined = 0
     for seed in range(20):
@@ -190,6 +190,24 @@ def test_expanded_siblings_are_joined(monkeypatch, spec, p, shots, block):
         assert sample.counts == split_sample_counts(g, p, shots, seed)
         joined += int(np.count_nonzero(sample.tallies > 1))
     assert joined > 0
+
+
+@pytest.mark.parametrize("p", [0.999, 0.001])
+def test_concentrated_sample_fits_a_budget_of_its_distinct_masks(monkeypatch, p):
+    # nearly every shot of an expanded prefix draws the same remaining edges;
+    # those siblings are joined before they are stored, so no edge counts
+    # more entries than the sample ends with
+    g, shots, seed = generate("path:64"), 10 ** 6, 1
+    sample = sample_preparation(g, p, shots, seed)
+    distinct = len(sample.masks)
+    assert distinct < shots // 500 and int(sample.tallies.sum()) == shots
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 8 * distinct)
+    monkeypatch.setattr(sampler, "MAX_SAMPLE_PATTERNS", distinct)
+    assert sample_preparation(g, p, shots, seed).counts == sample.counts
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 8 * distinct - 8)
+    monkeypatch.setattr(sampler, "MAX_SAMPLE_PATTERNS", distinct - 1)
+    with pytest.raises(SizeLimitError, match=f"edge 63 of 63 needs {distinct} x 8"):
+        sample_preparation(g, p, shots, seed)
 
 
 @pytest.mark.parametrize("shots", [1, 8])  # one shot, and eight shots of one expanded prefix
