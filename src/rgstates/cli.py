@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from functools import cache, partial
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 
 from .errors import GraphSpecError, SizeLimitError, check_time
@@ -148,7 +148,8 @@ def _value_of(quantity: str, args, g: Graph, points: int):
     ``points`` is the number of p values the function will be called at; a
     negativity is refused up front when its estimate, points x 8^n x
     ``density._NEGATIVITY_SECONDS`` (one dense eigensolve of a 2^n x 2^n
-    matrix per point), is over the time budget of ``errors.check_time``.  A
+    matrix per point), is over the time budget of ``errors.check_time``; an
+    estimate past the float range (n >= 342 at one point) is ``inf``.  A
     witness value is its constant minus the overlap at the level: 1/2 for
     ``gme_witness``, D(G) for ``lhv_witness``.
 
@@ -162,8 +163,11 @@ def _value_of(quantity: str, args, g: Graph, points: int):
         if args.bipartition is None:
             raise ValueError("sweep of negativity needs --bipartition")
         cut = _parse_bipartition(args.bipartition, g.n)
-        check_time(f"negativity sweep of {points} points at n={g.n}",
-                   points * 8 ** g.n * _NEGATIVITY_SECONDS)
+        try:
+            seconds = points * 8 ** g.n * _NEGATIVITY_SECONDS
+        except OverflowError:  # the int is past the float range
+            seconds = inf
+        check_time(f"negativity sweep of {points} points at n={g.n}", seconds)
         return lambda p: negativity(randomize(g, p), cut)
     if quantity == "rank":
         dimension = cache(partial(subgraph_space_dimension, g))
@@ -180,8 +184,13 @@ def _value_of(quantity: str, args, g: Graph, points: int):
 # ---------------------------------------------------------------- handlers
 
 def _cmd_value(args):
-    """``overlap``, ``negativity`` or ``rank`` at one p."""
-    g = _graph_of(args)
+    """``overlap``, ``negativity`` or ``rank`` at one p.
+
+    Every negativity, a rank at 0 < p < 1 and a dumped matrix read u(x), so
+    their graph is held to the word limit before its edges are listed."""
+    words = args.command == "negativity" or (
+        args.command == "rank" and (0.0 < args.p < 1.0 or args.dump_matrix))
+    g = _graph_of(args, _check_word_edges if words else None)
     p = _parse_p(args.p)
     value = _value_of(args.command, args, g, 1)
     if getattr(args, "dump_matrix", None):
@@ -249,7 +258,7 @@ def _cmd_sample(args):
 
 
 def _cmd_sweep(args):
-    g = _graph_of(args)
+    g = _graph_of(args, _check_word_edges if args.quantity == "negativity" else None)
     level = str(_parse_level(args.level))
     grid = _parse_grid(args.p_grid)
     value = _value_of(args.quantity, args, g, len(grid))

@@ -78,10 +78,6 @@ class DensityMatrix:
         if abs(float(np.trace(e)) - 1.0) > 1e-12:
             raise ValueError("density matrix trace differs from 1")
 
-    def smallest_eigenvalue(self) -> float:
-        evals, merged = _merged_spectrum(self.entries)
-        return min(float(evals[0]), 0.0) if merged else float(evals[0])
-
 
 @dataclass(frozen=True)
 class Bipartition:

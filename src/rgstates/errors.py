@@ -7,16 +7,19 @@ its work count times a per-unit cost fitted beside the kernel it models, and
 ``check_time`` refuses it over ``MAX_SECONDS``.  Three paths have such an
 estimate: the overlap contraction (``witness._admitted_plan``), the
 level-3/4 cluster counts (``witness._cluster_coefficients``) and a
-negativity sweep (``cli._value_of``).
+negativity sweep (``cli._value_of``), whose estimate is ``inf`` past the
+float range.
 
 The other limits are not costs:
 
 - ``cli.MAX_SWEEP_POINTS`` bounds the p-grid input and the list of its points;
-- |E| <= 63 wherever u(x) or a sample mask is one int64 word;
+- |E| <= 63 wherever u(x) or a sample mask is one int64 word; ``dim``,
+  ``sample``, ``negativity`` and ``rank`` at 0 < p < 1 check it on a family
+  spec's edge count before the edges are listed (``cli._graph_of``);
 - ``witness._check_range`` keeps the contraction's coefficients in the
   float64 range;
-- ``graph.MAX_COVER_VERTICES`` bounds the exact vertex cover, whose branch
-  and bound has no up-front estimate;
+- ``graph.MAX_COVER_VERTICES`` bounds the exact vertex cover, whose
+  recursion has no up-front estimate;
 - ``graph.MAX_VERTICES`` bounds the memory of the adjacency ints, which are
   not a numpy table.  The level-3/4 cluster counts, ``state.empty_overlap``
   and the n <= 24 consumers (the subset walk, ``lhv``, the vertex cover)

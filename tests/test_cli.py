@@ -325,11 +325,24 @@ def test_sample_refuses_too_many_prefixes(capsys, monkeypatch, block):
                    " the limit is 8000 bytes per table\n")
 
 
+K3000_CUT = "0|" + ",".join(map(str, range(1, 3000)))
+
+
 @pytest.mark.parametrize("argv, err", [
     (("sample", "--graph", "complete:3000", "--p", "0.5"),
      "error: sampling capped at |E|=63, got 4498500\n"),
     (("dim", "--graph", "complete:3000"), "error: u(x) holds at most |E|=63, got 4498500\n"),
     (("dim", "--graph", " complete:12 "), "error: u(x) holds at most |E|=63, got 66\n"),
+    (("rank", "--graph", "complete:3000", "--p", "0.5"),
+     "error: u(x) holds at most |E|=63, got 4498500\n"),
+    (("rank", "--graph", "complete:3000", "--p", "1", "--dump-matrix", "unwritten/rho"),
+     "error: u(x) holds at most |E|=63, got 4498500\n"),
+    (("negativity", "--graph", "complete:3000", "--p", "0.5", "--bipartition", K3000_CUT),
+     "error: u(x) holds at most |E|=63, got 4498500\n"),
+    (("negativity", "--graph", "complete:3000", "--p", "2", "--bipartition", "0|1"),
+     "error: u(x) holds at most |E|=63, got 4498500\n"),
+    (("sweep", "--graph", "complete:3000", "--quantity", "negativity", "--p-grid", "0:1:0.5",
+      "--bipartition", K3000_CUT), "error: u(x) holds at most |E|=63, got 4498500\n"),
 ])
 def test_word_limit_refused_before_edges_are_listed(capsys, monkeypatch, argv, err):
     # the family's formula gives |E|, so no edge is listed
@@ -337,6 +350,13 @@ def test_word_limit_refused_before_edges_are_listed(capsys, monkeypatch, argv, e
         raise AssertionError("the edges of complete were listed")
     monkeypatch.setattr(rgstates.graph, "combinations", listing)
     assert run(capsys, *argv) == (1, "", err)
+
+
+def test_rank_endpoints_past_the_word_limit(capsys):
+    # no u(x) at p in {0, 1}: the rank is 1 on any number of edges
+    for p in ("0", "1"):
+        assert run(capsys, "rank", "--graph", "complete:12", "--p", p) == (
+            0, '{"rank": 1}\n', "")
 
 
 def test_word_limit_of_listed_graphs(capsys, tmp_path):
@@ -673,6 +693,22 @@ def test_negativity_sweep_refused_by_work_estimate(capsys, monkeypatch):
     monkeypatch.setattr(cli, "negativity", lambda rho, cut: 0.5)
     code, out, _ = run(capsys, *sweep, "0.5:0.5:0.1")
     assert code == 0 and out == "p,value\n0.5,0.5\n"
+
+
+def test_negativity_estimate_past_the_float_range(capsys):
+    cut = ("--bipartition", "0|" + ",".join(map(str, range(1, 400))))
+    for argv in (("negativity", "--graph", "empty:400", "--p", "0.5", *cut),
+                 ("sweep", "--graph", "empty:400", "--quantity", "negativity",
+                  "--p-grid", "0:1:0.5", *cut)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        points = 1 if argv[0] == "negativity" else 3
+        assert err == (f"error: negativity sweep of {points} points at n=400 is estimated"
+                       " at inf s; the limit is 20 s\n")
+    assert run(capsys, "negativity", "--graph", "empty:20", "--p", "0.5", "--bipartition",
+               "0|" + ",".join(map(str, range(1, 20)))) == (
+        1, "", "error: negativity sweep of 1 points at n=20 is estimated at 2.31e+08 s;"
+               " the limit is 20 s\n")
 
 
 def test_grid_includes_endpoints(capsys):

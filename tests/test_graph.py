@@ -223,15 +223,32 @@ def test_min_vertex_cover_examples():
     assert min_vertex_cover(Graph(4, ())) == 0
     assert min_vertex_cover(generate("path:4")) == 2
     assert min_vertex_cover(generate("cycle:5")) == 3
+    for spec, size in (("path:24", 12), ("cycle:23", 12), ("grid:4x6", 12),
+                       ("grid3:2x3x4", 12), ("complete:24", 23), ("star:24", 1)):
+        assert min_vertex_cover(generate(spec)) == size, spec
     with pytest.raises(SizeLimitError):
         min_vertex_cover(generate("empty:30"))
 
 
 def test_min_vertex_cover_against_enumeration():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        g = random_graph(rng, 8)
-        assert min_vertex_cover(g) == brute_min_vertex_cover(g)
+    for seed, max_n, count in ((7, 8, 25), (19, 12, 60)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            g = random_graph(rng, max_n)
+            assert min_vertex_cover(g) == brute_min_vertex_cover(g)
+
+
+def test_min_vertex_cover_at_the_cap():
+    # n - alpha, alpha the largest independent set: a clique of the complement
+    import networkx as nx
+    rng = np.random.default_rng(29)
+    for density in (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8):
+        for _ in range(3):
+            edges = [e for e in itertools.combinations(range(24), 2) if rng.random() < density]
+            nxg = nx.empty_graph(24)
+            nxg.add_edges_from(edges)
+            alpha = len(nx.max_weight_clique(nx.complement(nxg), weight=None)[0])
+            assert min_vertex_cover(Graph(24, tuple(edges))) == 24 - alpha, density
 
 
 def test_min_vertex_cover_matching_duality():
