@@ -18,12 +18,12 @@ from math import inf, isfinite
 from pathlib import Path
 
 from .errors import GraphSpecError, SizeLimitError, check_time
-from .graph import Graph, min_vertex_cover, parse_graph
+from .graph import Graph, min_vertex_cover, parse_graph, _check_cover_vertices
 from .density import (Bipartition, export_density, negativity, randomize,
                       subgraph_space_dimension, _NEGATIVITY_SECONDS)
 from .witness import (DEFAULT_THRESHOLD_TOL, GME_CONSTANT, gme_threshold,
                       gme_witness_value, _overlap_function)
-from .lhv import lhv_bound, lhv_threshold
+from .lhv import lhv_bound, lhv_threshold, _check_value_tensor
 from .sampler import sample_preparation, _check_width, _json_pieces
 from .state import _check_word_edges
 
@@ -128,10 +128,28 @@ def _parse_bipartition(text: str, n: int) -> Bipartition:
     return Bipartition(n, side_a)
 
 
-def _graph_of(args, check_edges=None) -> Graph:
-    """The ``--graph`` of ``args``; ``check_edges`` refuses a family spec's
-    edge count before its edges are listed."""
-    return parse_graph(args.graph, check_edges)
+def _graph_of(args, check_size=None) -> Graph:
+    """The ``--graph`` of ``args``; ``check_size(n, edges)`` refuses a family
+    spec from its vertex and edge counts before its edges are listed."""
+    return parse_graph(args.graph, check_size)
+
+
+def _words(n: int, edges: int) -> None:
+    """The |E| <= 63 word limit of u(x), as a ``check_size``."""
+    _check_word_edges(edges)
+
+
+def _sweep_reads_patterns(quantity: str, grid) -> bool:
+    """Whether a sweep of ``quantity`` over the p values ``grid()`` reads u(x).
+
+    Every negativity does, and a rank does at a p in (0, 1).  A grid that
+    does not parse reads nothing here: it is refused later, in its turn."""
+    if quantity != "rank":
+        return quantity == "negativity"
+    try:
+        return any(0.0 < p < 1.0 for p in grid())
+    except (ValueError, SizeLimitError):
+        return False
 
 
 def _lhv_bound_for(g: Graph, supplied) -> float:
@@ -190,7 +208,7 @@ def _cmd_value(args):
     their graph is held to the word limit before its edges are listed."""
     words = args.command == "negativity" or (
         args.command == "rank" and (0.0 < args.p < 1.0 or args.dump_matrix))
-    g = _graph_of(args, _check_word_edges if words else None)
+    g = _graph_of(args, _words if words else None)
     p = _parse_p(args.p)
     value = _value_of(args.command, args, g, 1)
     if getattr(args, "dump_matrix", None):
@@ -224,7 +242,8 @@ def _cmd_threshold(args):
 
 
 def _cmd_lhv_bound(args):
-    _emit_json({"D": lhv_bound(_graph_of(args))})
+    g = _graph_of(args, lambda n, edges: _check_value_tensor(n))
+    _emit_json({"D": lhv_bound(g)})
     return 0
 
 
@@ -237,17 +256,18 @@ def _cmd_lhv_threshold(args):
 
 
 def _cmd_dim(args):
-    _emit_json({"dim": subgraph_space_dimension(_graph_of(args, _check_word_edges))})
+    _emit_json({"dim": subgraph_space_dimension(_graph_of(args, _words))})
     return 0
 
 
 def _cmd_cover(args):
-    _emit_json({"cover": min_vertex_cover(_graph_of(args))})
+    g = _graph_of(args, lambda n, edges: _check_cover_vertices(n))
+    _emit_json({"cover": min_vertex_cover(g)})
     return 0
 
 
 def _cmd_sample(args):
-    g = _graph_of(args, _check_width)
+    g = _graph_of(args, lambda n, edges: _check_width(edges))
     p = _parse_p(args.p)
     sample = sample_preparation(g, p, args.shots, args.seed,
                                 threads=_parse_threads(args.threads))
@@ -258,11 +278,12 @@ def _cmd_sample(args):
 
 
 def _cmd_sweep(args):
-    g = _graph_of(args, _check_word_edges if args.quantity == "negativity" else None)
+    grid = cache(partial(_parse_grid, args.p_grid))  # parsed at most once
+    words = _sweep_reads_patterns(args.quantity, grid)
+    g = _graph_of(args, _words if words else None)
     level = str(_parse_level(args.level))
-    grid = _parse_grid(args.p_grid)
-    value = _value_of(args.quantity, args, g, len(grid))
-    points = [(p, value(p)) for p in grid]
+    value = _value_of(args.quantity, args, g, len(grid()))
+    points = [(p, value(p)) for p in grid()]
     if args.out == "csv":
         print("p,value")
         for p, v in points:

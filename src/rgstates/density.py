@@ -15,15 +15,26 @@ representative row and column per class and P is the class indicator.  The
 nonzero spectrum of M is that of D^1/2 A D^1/2, with D the class sizes, and
 every eigenvalue dropped with the merged rows is exactly 0.  Rows are merged
 only when they are verified bit-equal, never by hash or tolerance alone.
-``negativity`` reads the rows of the partial transpose from rho's entries in
-place, so only rho and A are held; ``partial_transpose`` builds the whole
-matrix, for callers that want it.
+A pattern-built matrix keeps its graph (and ``randomize`` its q), so the
+merge starts from integer row keys: u(x) for rho; for its partial transpose
+on A, the patterns of the edges inside A and inside B and the bits on the
+ends of the crossing edges.  Rows with equal keys are equal, so only the
+K x K block of the K key classes is hashed and verified, where a matrix
+built by hand has all 2^n rows hashed.  ``negativity`` reads the rows of
+the partial transpose from rho's entries in place, so only rho and A are
+held; ``partial_transpose`` builds the whole matrix, for callers that
+want it.
 
-``numerical_rank`` counts eigenvalues above a relative cutoff, so it can
-miss eigenvalues that are tiny but nonzero, as near p = 0 or 1.  The exact
-rank of ``randomize(g, p)`` for 0 < p < 1 is ``subgraph_space_dimension(g)``,
-a count of distinct patterns that builds no matrix; the ``rank`` command
-prints it.
+``numerical_rank`` counts eigenvalues above a relative cutoff.  For
+``randomize`` it first tries a certificate: every eigenvalue of A is at
+least 2^-n (1 - |q|)^|E| and at most 1, so when that floor clears the
+cutoff by more than the eigensolver's rounding margin, the count is the
+number K of distinct patterns, with no eigensolve; the count is what the
+eigensolve would return.  Near p = 0 or 1 the floor is too small, the
+spectrum is solved, and eigenvalues that are tiny but nonzero can be
+missed.  The exact rank of ``randomize(g, p)`` for 0 < p < 1 is
+``subgraph_space_dimension(g)``, a count of distinct patterns that builds
+no matrix; the ``rank`` command prints it.
 """
 
 from __future__ import annotations
@@ -64,10 +75,20 @@ def _is_symmetric(e: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense real symmetric 2^n x 2^n operator with unit trace."""
+    """Dense real symmetric 2^n x 2^n operator with unit trace.
+
+    ``graph`` and ``q`` record how a pattern builder made the entries; a
+    matrix built by hand leaves them None.  ``graph`` is set when every entry
+    is a function of u(x) XOR u(y) over the edges of ``graph``
+    (``randomize``, ``subgraph_mixture``), and ``q`` = 1 - 2p when that
+    function is ``randomize``'s 2^-n q^popcount.  Such entries are
+    read-only, so the record holds for as long as the matrix does.
+    """
 
     n: int
     entries: np.ndarray
+    graph: Graph | None = None
+    q: float | None = None
 
     def __post_init__(self):
         dim, e = 1 << self.n, self.entries
@@ -96,11 +117,13 @@ class Bipartition:
         return ((1 << self.n) - 1) ^ self.side_a
 
 
-def _pattern_gather(g: Graph, table: np.ndarray, popcount: bool) -> DensityMatrix:
+def _pattern_gather(g: Graph, table: np.ndarray, popcount: bool,
+                    q: float | None = None) -> DensityMatrix:
     """rho_xy = table[u(x) XOR u(y)], or table[popcount(u(x) XOR u(y))].
 
     rho, checked against the table budget by the callers, is filled a block
     of rows at a time through one reused int64 index buffer, not a 4^n one.
+    It records ``g`` and ``q`` (see ``DensityMatrix``) and is read-only.
     """
     dim, u = 1 << g.n, excitation_patterns(g)
     rows = min(dim, _ROW_BLOCK)  # divides 2^n: every block is full
@@ -110,7 +133,8 @@ def _pattern_gather(g: Graph, table: np.ndarray, popcount: bool) -> DensityMatri
         if popcount:
             np.bitwise_count(index, out=index)
         np.take(table, index, out=rho[a:a + rows], mode="clip")  # clip: no buffered copy
-    return DensityMatrix(g.n, rho)
+    rho.flags.writeable = False
+    return DensityMatrix(g.n, rho, g, q)
 
 
 def subgraph_mixture(g: Graph, weights) -> DensityMatrix:
@@ -140,8 +164,9 @@ def randomize(g: Graph, p: float) -> DensityMatrix:
     """
     _check_p(p)
     check_table(f"density matrix of n={g.n}", 1 << 2 * g.n, 8)
-    powers = (1.0 - 2.0 * p) ** np.arange(g.edge_count + 1) / (1 << g.n)
-    return _pattern_gather(g, powers, popcount=True)
+    q = 1.0 - 2.0 * p
+    powers = q ** np.arange(g.edge_count + 1) / (1 << g.n)
+    return _pattern_gather(g, powers, popcount=True, q=q)
 
 
 def randomized_bell(p: float) -> DensityMatrix:
@@ -201,53 +226,98 @@ def _row_hashes(bits: np.ndarray) -> np.ndarray:
     return (bits ^ (bits >> np.uint64(32))) @ _hash_weights(bits.shape[1])
 
 
-def _merged_spectrum(m: np.ndarray, side_a: int = 0) -> tuple[np.ndarray, bool]:
-    """Ascending eigenvalues of D^1/2 A D^1/2 for M, and whether rows merged.
+def _row_keys(rho: DensityMatrix, side_a: int = 0) -> np.ndarray | None:
+    """Integer keys of the rows of rho, or of its partial transpose on ``side_a``.
+
+    Rows with equal keys are bit-equal, and so are the columns.  Row x of a
+    pattern-built rho is fixed by u(x).  Row r of its partial transpose on A
+    reads rho at s = (c & A) | (r & B) and t = (r & A) | (c & B), and
+    u(s) XOR u(t) takes from r only the patterns of the edges inside A and
+    inside B and the bits of r on the ends of the crossing edges.  Those
+    inside patterns are renumbered below 2^n, so the key fits one int64.  A
+    matrix built by hand has no keys (None).
+    """
+    g = rho.graph
+    if g is None:
+        return None
+    u = excitation_patterns(g)
+    if not side_a:
+        return u
+    inside = ends = 0
+    for k, (a, b) in enumerate(g.edges):
+        if (side_a >> a ^ side_a >> b) & 1:
+            ends |= 1 << a | 1 << b
+        else:
+            inside |= 1 << k
+    _, label = np.unique(u & inside, return_inverse=True)
+    return label << g.n | np.arange(1 << g.n) & ends
+
+
+def _merged_spectrum(m: np.ndarray, side_a: int = 0,
+                     keys: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues of D^1/2 A D^1/2 for M (see the module docstring).
 
     M is ``m`` itself (``side_a`` = 0) or its partial transpose on the
     qubits of the bitmask ``side_a``, and it is never built: with B the
     other qubits, M[r, c] = flat[base[c] + off[r]] over the flat entries of
     ``m``, base[c] = (c & A) 2^n + (c & B) and off[r] = (r & B) 2^n + (r & A).
     Columns that differ only below the lowest qubit of A are adjacent in
-    ``m``, so rows are read _ROW_BLOCK at a time as runs of ``step`` such
-    entries: whole rows of ``m`` when A is empty.  Rows with equal hashes
-    join the class of the first such row, then each row is checked
-    bit-equal to that representative; a row that differs (a hash collision)
-    stays its own class.  A = M[R, R] on the representatives R, D their
-    class sizes.  The result is the spectrum of M less the exact zeros of
-    the merged rows (see the module docstring).
+    ``m``, so whole rows are read as runs of ``step`` such entries.  The
+    merge starts from the classes of equal ``keys`` (see ``_row_keys``),
+    or from single rows when ``keys`` is None, and reads M only on the rows
+    and columns of their first rows R: two rows of M are bit-equal exactly
+    when they are on R, as M's columns repeat with its rows.  Of the K x K
+    block, read _ROW_BLOCK rows at a time, rows with equal hashes join the
+    class of the first such row, then each row is checked bit-equal to that
+    representative; a row that differs (a hash collision) stays its own
+    class.  A = M[R', R'] on the representatives R' left, D their class
+    sizes.  The result is the spectrum of M less the exact zeros of the
+    merged rows.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
     dim, flat = len(m), m.ravel()
     index, side_b = np.arange(dim), (dim - 1) ^ side_a
     base = (index & side_a) * dim + (index & side_b)
     off = (index & side_b) * dim + (index & side_a)
-    step = (side_a | dim) & -(side_a | dim)
-    runs = flat.view(np.uint64).reshape(-1, step)
-    run_base, run_off = base[::step] // step, off // step
+    if keys is None:
+        first, label = index, index
+    else:  # classes numbered in the order of their first rows
+        _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        first, label = first[order], np.argsort(order)[label]
+    k, bits_flat = len(first), flat.view(np.uint64)
+    row_off, col_base = off[first], base[first]
+    if k < dim:
+        def bits(rows):  # M[first[rows], first] as uint64
+            return np.take(bits_flat, row_off[rows, None] + col_base)
+    else:  # whole rows, read as runs of the ``step`` adjacent columns
+        step = (side_a | dim) & -(side_a | dim)
+        runs, run_base = bits_flat.reshape(-1, step), base[::step] // step
 
-    def bits(rows):  # M[rows, :] as uint64
-        return np.take(runs, run_off[rows, None] + run_base, axis=0).reshape(len(rows), dim)
-    hashes = np.concatenate([_row_hashes(bits(index[a:a + _ROW_BLOCK]))
-                             for a in range(0, dim, _ROW_BLOCK)])
-    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
-    rep = first[inverse]
-    joined = np.flatnonzero(rep != index)
+        def bits(rows):
+            return np.take(runs, row_off[rows, None] // step + run_base,
+                           axis=0).reshape(len(rows), dim)
+    classes = np.arange(k)
+    hashes = np.concatenate([_row_hashes(bits(classes[a:a + _ROW_BLOCK]))
+                             for a in range(0, k, _ROW_BLOCK)])
+    _, head, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    rep = head[inverse]
+    joined = np.flatnonzero(rep != classes)
     for a in range(0, len(joined), _ROW_BLOCK):
         rows = joined[a:a + _ROW_BLOCK]
         firsts, back = np.unique(rep[rows], return_inverse=True)  # each read once
         rows = rows[(bits(firsts)[back] != bits(rows)).any(axis=1)]
         rep[rows] = rows
-    reps = np.flatnonzero(rep == index)
+    reps = np.flatnonzero(rep == classes)
     merged = len(reps) < dim
-    sizes = np.bincount(rep, minlength=dim)[reps]
+    sizes = np.bincount(rep[label], minlength=k)[reps]
     a_mat = np.empty((len(reps), len(reps)))
     for a in range(0, len(reps), _ROW_BLOCK):
         rows = slice(a, a + _ROW_BLOCK)
-        np.take(flat, off[reps[rows], None] + base[reps], out=a_mat[rows])
+        np.take(flat, row_off[reps[rows], None] + col_base[reps], out=a_mat[rows])
         if merged:  # one rounding: sqrt(d_i d_j)
             a_mat[rows] *= np.sqrt(sizes[rows, None] * sizes)
-    return np.linalg.eigvalsh(a_mat), merged
+    return np.linalg.eigvalsh(a_mat)
 
 
 def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
@@ -260,15 +330,57 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     """
     _check_cut(rho, cut)
     # rho^T_B = (rho^T_A)^T, that is rho^T_A again for a symmetric rho; the
-    # side without qubit 0 has its rows in runs of rho's entries
-    evals, _ = _merged_spectrum(rho.entries, cut.side_b if cut.side_a & 1 else cut.side_a)
+    # side without qubit 0 is read, and both sides have the same row keys
+    side = cut.side_b if cut.side_a & 1 else cut.side_a
+    evals = _merged_spectrum(rho.entries, side, _row_keys(rho, side))
     return float(np.abs(evals[evals < 0.0]).sum())
 
 
+def _eigen_margin(k: int) -> float:
+    """delta: how far a solved eigenvalue of a K x K pattern block can be off.
+
+    Each entry of the block is a few roundings u = 2^-53 off (the power of
+    q, sqrt(d_i d_j) and their product): at most 4u ||A||_F <= 4u in the
+    2-norm, as A >= 0 has ||A||_F <= tr A = 1.  ``eigvalsh`` reduces the
+    block to tridiagonal form by Householder reflections and solves that;
+    its eigenvalues are exact for a matrix within a small multiple of
+    K^2 u ||A||_F in norm (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 19), taken here as 8 K^2 u, though seen errors
+    are nearer K u.  By Weyl's inequality no eigenvalue moves further than
+    such a perturbation.  The floor 2^-n (1 - |q|)^|E| <= 1/2 is itself
+    |E| + 2 <= 65 roundings off, at most 33u.  So delta = 8 K^2 u + 64 u
+    bounds all three.  For K <= 2^12, every matrix ``randomize`` admits,
+    K^2 u <= 2^-29: the second-order terms of these bounds change nothing,
+    and delta <= 2^-26 + 2^-47.
+    """
+    return (8 * k * k + 64) * 2.0 ** -53
+
+
 def numerical_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues above ``tol`` relative to the largest one."""
+    """Number of eigenvalues above ``tol`` relative to the largest one.
+
+    For ``randomize(g, p)`` the count is certified with no eigensolve when it
+    can be.  rho's nonzero spectrum is that of A = 2^-n D^1/2 Q_V D^1/2 on
+    the K distinct patterns V, with D their class sizes and Q_V the block
+    of (x)_e [[1, q], [q, 1]] on V.  The factors have eigenvalues 1 +- q,
+    so by interlacing, and as D >= 1, lambda_min(A) >= floor = 2^-n (1 -
+    |q|)^|E|, and lambda_max(A) <= tr rho = 1.  A solve moves each
+    eigenvalue by at most delta (``_eigen_margin``).  When floor - delta >
+    tol (1 + delta), A > 0, so no two pattern classes would merge and the
+    solve would be of A itself, and every eigenvalue it returned would be
+    above tol times the largest: the count is K, counted from the sorted
+    patterns.  Otherwise (p at or near 0 or 1, ``subgraph_mixture``, a
+    matrix built by hand) the spectrum is solved on the rows merged from
+    the pattern classes.
+    """
     _check_tol(tol)
-    evals, _ = _merged_spectrum(rho.entries)
+    if rho.q is not None:
+        k = subgraph_space_dimension(rho.graph)
+        floor = (1.0 - abs(rho.q)) ** rho.graph.edge_count / (1 << rho.n)
+        delta = _eigen_margin(k)
+        if floor - delta > tol * (1.0 + delta):
+            return k
+    evals = _merged_spectrum(rho.entries, keys=_row_keys(rho))
     return int(np.count_nonzero(evals > tol * float(evals[-1])))
 
 

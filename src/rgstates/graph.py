@@ -122,15 +122,15 @@ def _lattice_edges(sizes, wrap: bool) -> tuple[tuple[int, int], ...]:
     return tuple(zip(first, second))
 
 
-def generate(spec: str, check_edges=None) -> Graph:
+def generate(spec: str, check_size=None) -> Graph:
     """Build a named graph family from a ``family:size`` descriptor.
 
     Families: ``empty:N``, ``complete:N``, ``star:N`` (center = vertex 0),
     ``path:N``, ``cycle:N`` (N >= 3), ``grid:MxN``, ``grid3:IxJxK``.  The
     last four are one nearest-neighbour lattice in 1, 2 or 3 dimensions,
     numbered row-major, with ``cycle`` closed into a ring.  The vertex cap,
-    the edge list's table budget and ``check_edges``, if given, called with
-    the family's |E|, are checked before any edge is listed.
+    the edge list's table budget and ``check_size``, if given, called with
+    the family's n and |E|, are checked before any edge is listed.
     """
     m = _FAMILY_RE.match(spec.strip())
     if not m:
@@ -148,8 +148,8 @@ def generate(spec: str, check_edges=None) -> Graph:
     lattice = sum((s - 1) * n // s for s in sizes) + (family == "cycle")
     edges = {"empty": 0, "complete": comb(n, 2), "star": n - 1}.get(family, lattice)
     check_table(f"edge list of n={n}", edges, 16)
-    if check_edges is not None:
-        check_edges(edges)
+    if check_size is not None:
+        check_size(n, edges)
     if family == "empty":
         return Graph(n, ())
     if family == "complete":
@@ -218,6 +218,11 @@ def cluster_counts(g: Graph, max_edges: int) -> dict[str, int]:
     return counts
 
 
+def _check_cover_vertices(n: int) -> None:
+    if n > MAX_COVER_VERTICES:
+        raise SizeLimitError(f"exact vertex cover capped at n={MAX_COVER_VERTICES}, got n={n}")
+
+
 def min_vertex_cover(g: Graph) -> int:
     """Size of a minimum vertex cover, by one exact recursion on the alive vertices.
 
@@ -228,9 +233,7 @@ def min_vertex_cover(g: Graph) -> int:
     at d >= 3 the leaves grow as T(n) <= T(n - 1) + T(n - 4), a few
     thousand at the cap of ``MAX_COVER_VERTICES`` vertices.
     """
-    if g.n > MAX_COVER_VERTICES:
-        raise SizeLimitError(
-            f"exact vertex cover capped at n={MAX_COVER_VERTICES}, got n={g.n}")
+    _check_cover_vertices(g.n)
     adj = g.adjacency
 
     def cover(alive):
@@ -271,11 +274,11 @@ def _graph_from_json(doc) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def parse_graph(text: str, check_edges=None) -> Graph:
+def parse_graph(text: str, check_size=None) -> Graph:
     """Parse a graph from a family spec, a JSON document, or ``file:PATH``.
 
-    ``check_edges`` is called with a family spec's |E| before its edges are
-    listed (see ``generate``); it is not called on a document's edges."""
+    ``check_size`` is called with a family spec's n and |E| before its edges
+    are listed (see ``generate``); it is not called on a document's graph."""
     s = text.strip()
     if s.startswith("{"):
         try:
@@ -292,7 +295,7 @@ def parse_graph(text: str, check_edges=None) -> Graph:
         except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise GraphSpecError(f"invalid graph JSON in {path}: {exc}") from None
         return _graph_from_json(doc)
-    return generate(s, check_edges)
+    return generate(s, check_size)
 
 
 def serialize_graph(g: Graph) -> str:

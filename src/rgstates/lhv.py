@@ -153,6 +153,10 @@ def bell_expectation_lhv(g: Graph, assignment: LhvAssignment) -> float:
     return float(terms.sum()) / (1 << g.n)
 
 
+def _check_value_tensor(n: int) -> None:
+    check_table(f"LHV value tensor of n={n}", 1 << 2 * n, 4)
+
+
 def lhv_bound(g: Graph) -> float:
     """Classical bound D(g): max |<B>| over all noncontextual assignments.
 
@@ -166,7 +170,7 @@ def lhv_bound(g: Graph) -> float:
     partial sum is an integer of modulus <= 2^n <= 2^12 < 2^24 (the table
     budget), so float32 holds it exactly at half the memory of float64.
     """
-    check_table(f"LHV value tensor of n={g.n}", 1 << 2 * g.n, 4)
+    _check_value_tensor(g.n)
     signs, cells = _stabilizer_table(g)
     values = np.zeros(1 << 2 * g.n, dtype=np.float32)
     values[cells] = signs

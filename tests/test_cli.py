@@ -343,6 +343,13 @@ K3000_CUT = "0|" + ",".join(map(str, range(1, 3000)))
      "error: u(x) holds at most |E|=63, got 4498500\n"),
     (("sweep", "--graph", "complete:3000", "--quantity", "negativity", "--p-grid", "0:1:0.5",
       "--bipartition", K3000_CUT), "error: u(x) holds at most |E|=63, got 4498500\n"),
+    (("sweep", "--graph", "complete:3000", "--quantity", "rank", "--p-grid", "0:1:0.5"),
+     "error: u(x) holds at most |E|=63, got 4498500\n"),
+    (("cover", "--graph", "complete:3000"),
+     "error: exact vertex cover capped at n=24, got n=3000\n"),
+    (("lhv-bound", "--graph", "complete:3000"),
+     f"error: LHV value tensor of n=3000 needs {1 << 6000} x 4 = {4 << 6000} bytes;"
+     " the limit is 134217728 bytes per table\n"),
 ])
 def test_word_limit_refused_before_edges_are_listed(capsys, monkeypatch, argv, err):
     # the family's formula gives |E|, so no edge is listed
@@ -357,6 +364,21 @@ def test_rank_endpoints_past_the_word_limit(capsys):
     for p in ("0", "1"):
         assert run(capsys, "rank", "--graph", "complete:12", "--p", p) == (
             0, '{"rank": 1}\n', "")
+
+
+def test_rank_sweep_reads_patterns_only_inside_the_endpoints(capsys):
+    # a grid of 0 and 1 alone needs no u(x); a grid that does not parse is
+    # refused after the level, as before the word limit was checked first
+    assert run(capsys, "sweep", "--graph", "complete:12", "--quantity", "rank",
+               "--p-grid", "0:1:1") == (0, "p,value\n0,1\n1,1\n", "")
+    assert run(capsys, "sweep", "--graph", "complete:12", "--quantity", "rank",
+               "--p-grid", "0:1:0.5") == (1, "", "error: u(x) holds at most |E|=63, got 66\n")
+    code, out, err = run(capsys, "sweep", "--graph", "complete:12", "--quantity", "rank",
+                         "--level", "x", "--p-grid", "0:1")
+    assert (code, out, err) == (2, "", "error: level must be 'exact' or an integer, got 'x'\n")
+    code, out, err = run(capsys, "sweep", "--graph", "complete:12", "--quantity", "rank",
+                         "--p-grid", "0:1")
+    assert (code, out, err) == (2, "", "error: p-grid must be START:STOP:STEP, got '0:1'\n")
 
 
 def test_word_limit_of_listed_graphs(capsys, tmp_path):

@@ -10,6 +10,7 @@ from rgstates import (Bipartition, DensityMatrix, Graph, SizeLimitError,
                       partial_transpose, randomize, randomized_bell,
                       sample_preparation, subgraph_mixture,
                       subgraph_space_dimension)
+from rgstates.density import RANK_TOL
 from rgstates.state import excitation_patterns, walsh_hadamard
 from conftest import graphs
 from oracles import (brute_mixture, brute_subgraph_dimension, connected, dephased_density,
@@ -396,7 +397,7 @@ def test_merged_spectrum_without_duplicate_rows():
     m = rng.normal(size=(16, 16))
     m = m + m.T
     rho = DensityMatrix(4, m / np.trace(m))
-    assert not density._merged_spectrum(rho.entries)[1]
+    assert len(density._merged_spectrum(rho.entries)) == 16
     _assert_spectra_match_oracle(rho, (0b0001, 0b0110, 0b1011))
 
 
@@ -408,12 +409,10 @@ def test_merged_spectrum_keeps_signed_zeros_apart():
     m[1, 2] = m[2, 1] = -0.0
     assert np.array_equal(m[0], m[1])
     rho = DensityMatrix(2, m)
-    evals, merged = density._merged_spectrum(rho.entries)
-    assert not merged and len(evals) == 4
+    assert len(density._merged_spectrum(rho.entries)) == 4
     _assert_spectra_match_oracle(rho, (0b01, 0b10))
     m[1, 2] = m[2, 1] = 0.0  # bit-equal now: one 3x3 solve
-    evals, merged = density._merged_spectrum(DensityMatrix(2, m).entries)
-    assert merged and len(evals) == 3
+    assert len(density._merged_spectrum(DensityMatrix(2, m).entries)) == 3
 
 
 def test_merged_spectrum_verifies_hash_collisions(monkeypatch):
@@ -423,13 +422,18 @@ def test_merged_spectrum_verifies_hash_collisions(monkeypatch):
     for spec in ("star:5", "grid:2x3", "complete:4"):
         g = generate(spec)
         rho = randomize(g, float(rng.uniform(0.2, 0.8)))
-        _assert_spectra_match_oracle(rho, _random_cuts(rng, g.n))
+        cuts = _random_cuts(rng, g.n)
+        _assert_spectra_match_oracle(rho, cuts)  # merged from the row keys
+        _assert_spectra_match_oracle(DensityMatrix(g.n, rho.entries.copy()), cuts)
     rho = randomize(generate("path:3"), 0.0)  # every row equal: one 1x1 solve
-    evals, merged = density._merged_spectrum(rho.entries)
-    assert merged and evals.tolist() == [1.0]
+    for keys in (None, density._row_keys(rho)):
+        evals = density._merged_spectrum(rho.entries, keys=keys)
+        assert len(evals) < 8 and evals.tolist() == [1.0]
 
 
 def test_rank_solves_only_the_distinct_rows(monkeypatch):
+    # at p = 0.95 the floor 2^-10 0.1^9 is below the cutoff: the rank is
+    # solved, on the 512 distinct patterns, and 10 eigenvalues are under it
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -437,9 +441,12 @@ def test_rank_solves_only_the_distinct_rows(monkeypatch):
         shapes.append(matrix.shape)
         return eigvalsh(matrix)
     monkeypatch.setattr(density.np.linalg, "eigvalsh", spy)
-    rho = randomize(generate("star:10"), 0.7)
-    assert numerical_rank(rho) == 512
+    rho = randomize(generate("star:10"), 0.95)
+    assert numerical_rank(rho) == 502
     assert shapes == [(512, 512)]
+    shapes.clear()  # at p = 0.7 the floor certifies all 512
+    assert numerical_rank(randomize(generate("star:10"), 0.7)) == 512
+    assert shapes == []
 
 
 def test_merge_finds_every_repeated_row():
@@ -453,9 +460,110 @@ def test_merge_finds_every_repeated_row():
             pt = partial_transpose(rho, cut)
             for m in (rho.entries, pt):
                 distinct = len(np.unique(m.view(np.uint64), axis=0))
-                assert len(density._merged_spectrum(m)[0]) == distinct
+                assert len(density._merged_spectrum(m)) == distinct
             # the partial transpose read in place from rho, on either side of the
             # cut (rho is symmetric): the same rows, the same solve
-            evals = density._merged_spectrum(pt)[0]
+            evals = density._merged_spectrum(pt)
             for side in (cut.side_a, cut.side_b):
-                assert np.array_equal(density._merged_spectrum(rho.entries, side)[0], evals)
+                assert np.array_equal(density._merged_spectrum(rho.entries, side), evals)
+
+
+class _Solved(Exception):
+    """Raised by a spy in place of a merged eigensolve the test does not need."""
+
+
+def test_certified_rank_equals_dense_count(monkeypatch):
+    # a rank returned with no eigensolve is the count of a dense eigvalsh.
+    # Solved ranks are checked against dense spectra above, so past n = 8
+    # their solves are cut short here, and at n = 9 and 10 only the random p
+    # gets the dense solve
+    merged_spectrum, solved = density._merged_spectrum, []
+
+    def spy(m, *args, **kwargs):
+        solved.append(len(m))
+        if len(m) > 256:
+            raise _Solved
+        return merged_spectrum(m, *args, **kwargs)
+    monkeypatch.setattr(density, "_merged_spectrum", spy)
+    rng = np.random.default_rng(43)
+    certified = 0
+    for _ in range(200):
+        g = random_graph(rng, 10)
+        random_p = float(rng.uniform())
+        for p in (0.0, 1e-3, 0.05, 0.5, 0.95, 0.999, 1.0, random_p):
+            rho = randomize(g, p)
+            solved.clear()
+            try:
+                rank = numerical_rank(rho)
+            except _Solved:
+                continue
+            if g.n > 8 and (solved or p != random_p):
+                continue
+            evals = np.linalg.eigvalsh(rho.entries)
+            assert rank == int(np.count_nonzero(evals > RANK_TOL * evals[-1])), (g, p)
+            certified += not solved
+    assert certified > 500
+
+
+def test_rank_certificate_fails_over_to_the_eigensolve(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("eigensolve")
+    g = generate("grid:3x3")
+    rho = randomize(g, 0.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(density.np.linalg, "eigvalsh", refuse)
+        assert numerical_rank(rho) == subgraph_space_dimension(g) == 250
+        with pytest.raises(AssertionError, match="eigensolve"):  # a hand-built matrix
+            numerical_rank(DensityMatrix(g.n, rho.entries.copy()))
+        for p in (0.0, 0.999, 1.0):  # the floor is 0 or below the cutoff
+            with pytest.raises(AssertionError, match="eigensolve"):
+                numerical_rank(randomize(g, p))
+    assert numerical_rank(DensityMatrix(g.n, rho.entries.copy())) == 250
+    assert numerical_rank(randomize(generate("star:10"), 0.95)) == 502
+
+
+def test_pattern_built_matrices_keep_their_record():
+    g = generate("path:4")
+    rho, mixture = randomize(g, 0.3), subgraph_mixture(g, {0: 0.5, 5: 0.5})
+    assert (rho.graph, rho.q) == (g, 1.0 - 2.0 * 0.3)
+    assert (mixture.graph, mixture.q) == (g, None)
+    for m in (rho, mixture):
+        with pytest.raises(ValueError, match="read-only"):
+            m.entries[0, 0] = 0.0
+    by_hand = DensityMatrix(g.n, rho.entries.copy())
+    assert (by_hand.graph, by_hand.q) == (None, None)
+    assert density._row_keys(by_hand) is None
+    by_hand.entries[0, 0] = by_hand.entries[0, 0]
+
+
+def _keyed_and_dense_cases(rng):
+    """(matrix, cut) pairs on seeded random graphs with random cuts: ``randomize``
+    at p in {1/2, 1, random} and the empirical state of a sample."""
+    for _ in range(10):
+        g = random_graph(rng, 8, min_n=3)
+        cut = int(rng.integers(1, (1 << g.n) - 1))
+        for p in (0.5, 1.0, float(rng.uniform(0.05, 0.95))):
+            yield randomize(g, p), cut
+        sample = sample_preparation(g, float(rng.uniform(0.2, 0.8)), 500,
+                                    int(rng.integers(1 << 32)))
+        yield empirical_state(sample, g), cut
+
+
+def test_keyed_merge_equals_the_dense_merge():
+    rng = np.random.default_rng(47)
+    for rho, cut in _keyed_and_dense_cases(rng):
+        full = (1 << rho.n) - 1
+        for side in (0, cut, full ^ cut):
+            keyed = density._merged_spectrum(rho.entries, side, density._row_keys(rho, side))
+            assert np.array_equal(keyed, density._merged_spectrum(rho.entries, side))
+
+
+def test_every_key_class_holds_bit_equal_rows():
+    rng = np.random.default_rng(53)
+    for rho, cut in _keyed_and_dense_cases(rng):
+        for side in (0, cut):
+            m = rho.entries if not side else partial_transpose(rho, Bipartition(rho.n, side))
+            bits = m.view(np.uint64)
+            keys = density._row_keys(rho, side)
+            _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+            assert np.array_equal(bits, bits[first[label]]), (rho.graph, side)
