@@ -139,6 +139,11 @@ def _words(n: int, edges: int) -> None:
     _check_word_edges(edges)
 
 
+def _value_tensor(n: int, edges: int) -> None:
+    """The table budget of the 4^n LHV value tensor, as a ``check_size``."""
+    _check_value_tensor(n)
+
+
 def _sweep_reads_patterns(quantity: str, grid) -> bool:
     """Whether a sweep of ``quantity`` over the p values ``grid()`` reads u(x).
 
@@ -242,13 +247,15 @@ def _cmd_threshold(args):
 
 
 def _cmd_lhv_bound(args):
-    g = _graph_of(args, lambda n, edges: _check_value_tensor(n))
+    g = _graph_of(args, _value_tensor)
     _emit_json({"D": lhv_bound(g)})
     return 0
 
 
 def _cmd_lhv_threshold(args):
-    g = _graph_of(args)
+    """Without ``--lhv-bound`` the bound is searched, so its 4^n value tensor
+    is admitted before the edges are listed (and before ``--tol`` is read)."""
+    g = _graph_of(args, _value_tensor if args.lhv_bound is None else None)
     d = _lhv_bound_for(g, args.lhv_bound)
     value = lhv_threshold(g, level=_parse_level(args.level), d=d, tol=args.tol)
     _emit_json({"p_lhv": value, "D": d})

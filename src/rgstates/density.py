@@ -82,7 +82,9 @@ class DensityMatrix:
     is a function of u(x) XOR u(y) over the edges of ``graph``
     (``randomize``, ``subgraph_mixture``), and ``q`` = 1 - 2p when that
     function is ``randomize``'s 2^-n q^popcount.  Such entries are
-    read-only, so the record holds for as long as the matrix does.
+    read-only, so the record holds for as long as the matrix does.  Its
+    entries depend on x and y through u(x) XOR u(y) alone, so such a matrix
+    is symmetric by construction and only a hand-built one is scanned.
     """
 
     n: int
@@ -94,7 +96,7 @@ class DensityMatrix:
         dim, e = 1 << self.n, self.entries
         if e.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix for n={self.n}")
-        if not _is_symmetric(e):
+        if self.graph is None and not _is_symmetric(e):
             raise ValueError("density matrix is not symmetric")
         if abs(float(np.trace(e)) - 1.0) > 1e-12:
             raise ValueError("density matrix trace differs from 1")

@@ -5,12 +5,16 @@ A graph state's computational-basis amplitudes are all +-2^(-n/2), with sign
 endpoints set in x.  The F2 kernels live here: the u(x) array, the walk that
 gives the signs with the stabilizer cells, the exact signed sum over x by F2
 variable elimination (so overlaps are exact dyadic rationals), and the
-Walsh-Hadamard transform, which only ``density.subgraph_mixture`` uses.
+Walsh-Hadamard transform.  Two callers read the transform:
+``density.subgraph_mixture`` takes the character table of its mixture weights
+from it, and ``witness._spectrum_coefficients`` the amplitudes <G|G-R> of
+every removed-edge set R at once, from the histogram of u(x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,16 +75,42 @@ def graph_state_vector(g: Graph) -> GraphStateVector:
     return GraphStateVector(g.n, _subset_walk(g)[0])
 
 
+_FACTOR_BITS = 5  # widest Sylvester factor of the transform; 6 and 7 timed no faster
+
+
+@lru_cache(maxsize=None)
+def _sylvester(bits: int) -> np.ndarray:
+    """The 2^bits x 2^bits Sylvester-Hadamard matrix, (-1)^popcount(j & k), read-only."""
+    k = np.arange(1 << bits)
+    h = 1.0 - 2.0 * (np.bitwise_count(k[:, None] & k) & 1)
+    h.flags.writeable = False
+    return h
+
+
 def walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """In-place unnormalized Walsh-Hadamard transform: z -> sum_m a[m] (-1)^|m & z|."""
-    size, h = len(a), 1
-    while h < size:
-        a = a.reshape(size // (2 * h), 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        h *= 2
-    return a.reshape(size)
+    """In-place unnormalized Walsh-Hadamard transform: z -> sum_m a[m] (-1)^|m & z|.
+
+    ``a`` is a float64 vector of length 2^e.  Each pass is one matmul by a
+    Sylvester factor of at most ``_FACTOR_BITS`` bits, the e bits split as
+    evenly as the passes allow: it transforms the lowest bits of the index and
+    writes them back as the highest, so after all passes every bit is back in
+    place.  The passes alternate between ``a`` and one scratch vector.  On
+    integer-valued input the result is exact while partial sums stay below
+    2^53.
+    """
+    bits = len(a).bit_length() - 1
+    if a.dtype != np.float64 or len(a) != 1 << bits:
+        raise ValueError(f"expected a float64 vector of length 2^e, got {a.dtype} x {len(a)}")
+    passes = -(-bits // _FACTOR_BITS)
+    src, dst = a, np.empty_like(a)
+    for k in range(passes):
+        factor = (bits + k) // passes
+        np.matmul(_sylvester(factor), src.reshape(-1, 1 << factor).T,
+                  out=dst.reshape(1 << factor, -1))
+        src, dst = dst, src
+    if src is not a:
+        a[...] = src
+    return a
 
 
 def signed_sum(adjacency) -> int:

@@ -7,8 +7,8 @@ K(sigma, tau) = (-1)^(x_sigma x_tau + y_sigma y_tau),
 
     sum_R t^|R| <G|G-R>^2 = 4^-n sum_sigma prod_(i,j) (1 + t K(sigma_i, sigma_j)),
 
-a 4-state pairwise model on G.  ``_level_coefficients`` takes one of two
-paths, by level alone.
+a 4-state pairwise model on G.  ``_level_coefficients`` takes one of three
+routes, by level and size.
 
 Levels up to ``MAX_CLUSTER_LEVEL`` = 4 come from ``_cluster_coefficients``,
 the linked-cluster identity.  f(R) = <G|G-R>^2 depends only on R as a
@@ -21,8 +21,22 @@ closed formulas in degrees, triangles and common neighbours
 exact integers and rounded once.  The cost follows sum_v d_v (sum_v d_v^2
 at level 4), not the frontier width; ``_count_seconds`` estimates it.
 
-Higher levels, and so the exact polynomial of any graph of more than four
-edges, come from ``_contraction_coefficients``: one sweep over a greedy
+Higher levels of a graph with n and |E| each at most ``_SPECTRUM_BITS`` = 14
+come from ``_spectrum_coefficients``.  <G|G-R> = 2^-n sum_x
+(-1)^popcount(R & u(x)), so 2^n times every amplitude at once is the
+Walsh-Hadamard transform of the histogram of the excitation patterns u(x)
+(``state.excitation_patterns``, ``state.walsh_hadamard``).  Each
+(2^n <G|G-R>)^2 is 0 or a power of two of at most 4^n (Hein, Eisert &
+Briegel, PRA 69, 062311 (2004)), so S_r is an integer over 4^n, summed in
+int64 and divided once.  That
+costs 2^n |E| pattern bits and one transform of 2^|E| entries, where the
+contraction pays ``PASS_ENTRIES`` = 2^13 entry updates for each edge before
+its tensor counts at all.  Timed, the spectrum was the faster route up to
+n = |E| = 14 and the slower from 15 on, except on dense graphs, whose wide
+frontiers slow the contraction (complete:6; fit table in CHANGES.md).
+
+Higher levels of larger graphs, and so the exact polynomial of any of them,
+come from ``_contraction_coefficients``: one sweep over a greedy
 vertex order, carrying one float64 tensor with a size-4
 axis per frontier vertex (introduced, with an unintroduced neighbour) and
 one axis for t^1..t^level; t^0 is identically 1.  A vertex is summed out
@@ -52,8 +66,10 @@ import numpy as np
 
 from .errors import MAX_SECONDS, MAX_TABLE_BYTES, SizeLimitError, check_table, check_time
 from .graph import Graph, cluster_counts, serialize_graph
+from .state import excitation_patterns, walsh_hadamard
 
 PASS_ENTRIES = 2 ** 13  # fixed cost of one edge's shift, in entry updates
+_SPECTRUM_BITS = 14  # widest n and |E| of the spectrum route, timed (module docstring)
 MAX_CLUSTER_LEVEL = 4  # highest level summed from connected-type counts
 DEFAULT_BRACKET = (0.5, 1.0)
 DEFAULT_THRESHOLD_TOL = 1e-9
@@ -294,12 +310,34 @@ def _cluster_coefficients(g: Graph, level: int) -> tuple[float, ...]:
 def _level_coefficients(g: Graph, level: int) -> tuple[float, ...]:
     """S_r for r = 0..level: sums of squared overlaps over r removed edges.
 
-    Up to level ``MAX_CLUSTER_LEVEL`` from the cluster counts, above it from
-    the frontier contraction.
+    Up to level ``MAX_CLUSTER_LEVEL`` from the cluster counts; above it from
+    the pattern spectrum when n and |E| are each at most ``_SPECTRUM_BITS``,
+    else from the frontier contraction.
     """
     if level <= MAX_CLUSTER_LEVEL:
         return _cluster_coefficients(g, level)
+    if max(g.n, g.edge_count) <= _SPECTRUM_BITS:
+        return _spectrum_coefficients(g, level)
     return _contraction_coefficients(g, level)
+
+
+def _spectrum_coefficients(g: Graph, level: int) -> tuple[float, ...]:
+    """S_r for r = 0..level from the Walsh-Hadamard spectrum of u(x).
+
+    With h the histogram of the patterns u(x), the transform of h at R is
+    2^n <G|G-R>, an integer of modulus at most 2^n, as is every partial sum
+    of the float64 transform, so it is exact.  The squares sum to 2^|E|
+    sum_m h_m^2 <= 2^(|E| + 2n) (Parseval), at most 2^42 here, so the int64
+    sums over the R of r bits are exact too; one true division by 4^n
+    rounds each S_r.
+    """
+    size = 1 << g.edge_count
+    check_table(f"overlap spectrum of |E|={g.edge_count}", size, 8)
+    histogram = np.bincount(excitation_patterns(g), minlength=size).astype(np.float64)
+    amplitudes = walsh_hadamard(histogram).astype(np.int64)
+    sums = np.zeros(max(level, g.edge_count) + 1, dtype=np.int64)
+    np.add.at(sums, np.bitwise_count(np.arange(size)), amplitudes * amplitudes)
+    return tuple(int(s) / (1 << 2 * g.n) for s in sums[:level + 1])
 
 
 def _contraction_coefficients(g: Graph, level: int) -> tuple[float, ...]:

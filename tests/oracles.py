@@ -85,6 +85,12 @@ def brute_level_coefficients(g, level):
                  for r in range(level + 1))
 
 
+def sylvester_rows(size, rows):
+    """Rows ``rows`` of the size x size Sylvester-Hadamard matrix, (-1)^popcount(z & m)."""
+    rows = np.asarray(rows)
+    return 1.0 - 2.0 * (np.bitwise_count(rows[:, None] & np.arange(size)) & 1)
+
+
 def brute_class_counts(g):
     """Classify all 1- and 2-edge subsets by whether they share a vertex."""
     m1 = g.edge_count

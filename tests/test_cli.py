@@ -272,6 +272,9 @@ def test_lhv_threshold_supplied_bound(capsys):
     code, out, _ = run(capsys, "lhv-threshold", "--graph", "path:2",
                        "--lhv-bound", "1.0")
     assert json.loads(out)["p_lhv"] is None
+    # a supplied bound needs no 4^n value tensor, so n = 14 is admitted
+    assert run(capsys, "lhv-threshold", "--graph", "path:14", "--lhv-bound", "0.5") == (
+        0, '{"p_lhv": 0.929952544626, "D": 0.5}\n', "")
 
 
 def test_sample_schema_and_determinism(capsys):
@@ -326,6 +329,8 @@ def test_sample_refuses_too_many_prefixes(capsys, monkeypatch, block):
 
 
 K3000_CUT = "0|" + ",".join(map(str, range(1, 3000)))
+K3000_VALUE_TENSOR = (f"error: LHV value tensor of n=3000 needs {1 << 6000} x 4 = {4 << 6000}"
+                      " bytes; the limit is 134217728 bytes per table\n")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -347,9 +352,9 @@ K3000_CUT = "0|" + ",".join(map(str, range(1, 3000)))
      "error: u(x) holds at most |E|=63, got 4498500\n"),
     (("cover", "--graph", "complete:3000"),
      "error: exact vertex cover capped at n=24, got n=3000\n"),
-    (("lhv-bound", "--graph", "complete:3000"),
-     f"error: LHV value tensor of n=3000 needs {1 << 6000} x 4 = {4 << 6000} bytes;"
-     " the limit is 134217728 bytes per table\n"),
+    (("lhv-bound", "--graph", "complete:3000"), K3000_VALUE_TENSOR),
+    (("lhv-threshold", "--graph", "complete:3000"), K3000_VALUE_TENSOR),
+    (("lhv-threshold", "--graph", "complete:3000", "--tol", "0"), K3000_VALUE_TENSOR),
 ])
 def test_word_limit_refused_before_edges_are_listed(capsys, monkeypatch, argv, err):
     # the family's formula gives |E|, so no edge is listed

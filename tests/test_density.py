@@ -164,6 +164,22 @@ def test_density_matrix_rejects_one_asymmetric_entry():
                     DensityMatrix(rho.n, e)
 
 
+def test_only_hand_built_matrices_are_scanned_for_symmetry(monkeypatch):
+    # table[u(x) XOR u(y)] is symmetric by construction
+    scans, scan = [], density._is_symmetric
+    monkeypatch.setattr(density, "_is_symmetric", lambda e: scans.append(len(e)) or scan(e))
+    g = generate("grid:2x4")
+    rho = randomize(g, 0.6)
+    subgraph_mixture(g, {0: 0.5, 0b101: 0.5})
+    assert scans == []
+    DensityMatrix(g.n, rho.entries.copy())
+    assert scans == [256]
+    e = rho.entries.copy()
+    e[5, 63] += 2e-12
+    with pytest.raises(ValueError, match="not symmetric"):
+        DensityMatrix(g.n, e)
+
+
 def test_bipartition_validation():
     with pytest.raises(ValueError):
         Bipartition(2, 0)

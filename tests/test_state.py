@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from rgstates import (Graph, SizeLimitError, closed_form_overlap_sq,
                       empty_overlap, generate, graph_state_vector, overlap,
                       symmetric_difference)
-from rgstates.state import _subset_walk, excitation_patterns, signed_sum
+from rgstates.state import _subset_walk, excitation_patterns, signed_sum, walsh_hadamard
 from conftest import graphs
 from oracles import (brute_empty_overlap, brute_excitation_patterns, dense_graph_state,
-                     random_graph)
+                     random_graph, sylvester_rows)
 
 
 def test_empty_two_qubits_is_plus_plus():
@@ -156,3 +156,40 @@ def test_closed_form_against_brute_force():
         g = generate(spec)
         assert empty_overlap(g) ** 2 == pytest.approx(
             closed_form_overlap_sq(spec), abs=1e-12)
+
+
+def test_walsh_hadamard_is_the_dense_sylvester_product():
+    # every row up to 2^12, in blocks of 256; 512 seeded rows and both ends at 2^13, 2^14
+    rng = np.random.default_rng(1123)
+    for bits in range(15):
+        size = 1 << bits
+        rows = (np.arange(size) if bits <= 12
+                else np.unique(np.r_[0, size - 1, rng.integers(0, size, 512)]))
+        ints = rng.integers(-1000, 1001, size).astype(np.float64)
+        floats = rng.standard_normal(size)
+        exact, close = walsh_hadamard(ints.copy()), walsh_hadamard(floats.copy())
+        for block in np.array_split(rows, -(-len(rows) // 256)):
+            dense = sylvester_rows(size, block)
+            # integer sums below 2^53 are exact in any order
+            assert np.array_equal(exact[block], dense @ ints), bits
+            assert np.allclose(close[block], dense @ floats, rtol=1e-12, atol=1e-9), bits
+
+
+def test_walsh_hadamard_squares_to_a_multiple_of_the_identity():
+    for bits in range(9):
+        size = 1 << bits
+        h = np.stack([walsh_hadamard(column) for column in np.eye(size)])
+        assert np.array_equal(h, h.T) and np.array_equal(h @ h, size * np.eye(size)), bits
+    rng = np.random.default_rng(1129)
+    for bits in (9, 13, 16, 20):
+        x = rng.integers(-1000, 1001, 1 << bits).astype(np.float64)
+        assert np.array_equal(walsh_hadamard(walsh_hadamard(x.copy())), x * (1 << bits)), bits
+
+
+def test_walsh_hadamard_transforms_in_place():
+    a = np.arange(1 << 11, dtype=np.float64)  # an odd number of passes ends in the scratch
+    assert walsh_hadamard(a) is a and a[0] == (1 << 10) * ((1 << 11) - 1)
+    with pytest.raises(ValueError, match="float64 vector of length 2\\^e, got float64 x 12"):
+        walsh_hadamard(np.zeros(12))
+    with pytest.raises(ValueError, match="got int64 x 2048"):
+        walsh_hadamard(np.arange(1 << 11))

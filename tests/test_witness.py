@@ -11,9 +11,9 @@ from rgstates import (Graph, SizeLimitError, approx_overlap,
                       overlap_linear_closed, overlap_star_closed, randomize,
                       randomization_overlap, witness)
 from rgstates.state import signed_sum
-from rgstates.witness import (_CLUSTER_WEIGHTS, _WEIGHT_DENOMINATOR,
+from rgstates.witness import (MAX_CLUSTER_LEVEL, _CLUSTER_WEIGHTS, _WEIGHT_DENOMINATOR,
                               _cluster_coefficients, _contraction_coefficients,
-                              _contraction_plan, _level_coefficients)
+                              _contraction_plan, _level_coefficients, _spectrum_coefficients)
 from conftest import graphs
 from oracles import (CLUSTER_TYPE_EDGES, bitmask_contraction_plan, brute_level_coefficients,
                      brute_randomization_overlap, random_graph)
@@ -155,6 +155,62 @@ def test_contraction_matches_subset_sum_at_low_levels():
         for level in range(5):
             assert _contraction_coefficients(g, level) == brute_level_coefficients(g, level), (
                 g, level)
+
+
+def spectrum_cases(rng, count):
+    """Seeded random graphs inside the spectrum route: n <= 14 and 5 <= |E| <= 14."""
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(4, 15))
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = rng.choice(len(pairs), int(rng.integers(5, min(14, len(pairs)) + 1)),
+                            replace=False)
+        cases.append(Graph(n, tuple(pairs[k] for k in sorted(chosen))))
+    return cases
+
+
+SPECTRUM_SPECS = ["star:6", "star:9", "path:10", "path:12", "cycle:10", "cycle:12", "grid:3x3",
+                  "grid:2x5", "path:14", "star:14", "cycle:14", "complete:5", "grid3:2x2x2"]
+
+
+def test_spectrum_matches_subset_sum_and_contraction():
+    # 2^n <G|G-R> is an integer, so all three are exact and agree bit for bit;
+    # the subset sum, 2^|E| signed sums at the full level, stops at level 5
+    rng = np.random.default_rng(71)
+    for g in spectrum_cases(rng, 300):
+        level = int(rng.integers(5, g.edge_count + 1))
+        coeffs = _spectrum_coefficients(g, level)
+        assert coeffs == _contraction_coefficients(g, level), (g, level)
+        assert coeffs[:6] == brute_level_coefficients(g, 5), (g, level)
+    for g in map(generate, SPECTRUM_SPECS):
+        assert _spectrum_coefficients(g, g.edge_count) == _contraction_coefficients(
+            g, g.edge_count), g
+
+
+def test_level_coefficients_route(monkeypatch):
+    def refused(name):
+        def route(g, level):
+            raise AssertionError(f"{name} route taken for {g} at level {level}")
+        return route
+    build = _level_coefficients.__wrapped__  # past the cache
+    small = [*map(generate, SPECTRUM_SPECS), *spectrum_cases(np.random.default_rng(73), 40)]
+    monkeypatch.setattr(witness, "_contraction_coefficients", refused("contraction"))
+    for g in small:
+        for level in range(g.edge_count + 1):
+            build(g, level)
+    monkeypatch.setattr(witness, "_spectrum_coefficients", refused("spectrum"))
+    for g in small:  # levels <= 4 take the cluster counts
+        for level in range(MAX_CLUSTER_LEVEL + 1):
+            build(g, level)
+    monkeypatch.undo()
+    monkeypatch.setattr(witness, "_spectrum_coefficients", refused("spectrum"))
+    # just past the bounds: n = 15 or |E| = 15
+    for spec in ("path:15", "star:15", "cycle:15", "complete:6", "grid:2x6", "grid3:2x2x3"):
+        g = generate(spec)
+        assert build(g, g.edge_count) == _contraction_coefficients(g, g.edge_count), spec
+    g = generate("path:1000")
+    for level in (5, 999):
+        build(g, level)
 
 
 @pytest.mark.parametrize("block", [1, 4, 37])
