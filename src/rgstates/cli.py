@@ -128,12 +128,6 @@ def _parse_bipartition(text: str, n: int) -> Bipartition:
     return Bipartition(n, side_a)
 
 
-def _graph_of(args, check_size=None) -> Graph:
-    """The ``--graph`` of ``args``; ``check_size(n, edges)`` refuses a family
-    spec from its vertex and edge counts before its edges are listed."""
-    return parse_graph(args.graph, check_size)
-
-
 def _words(n: int, edges: int) -> None:
     """The |E| <= 63 word limit of u(x), as a ``check_size``."""
     _check_word_edges(edges)
@@ -145,7 +139,7 @@ def _value_tensor(n: int, edges: int) -> None:
 
 
 def _sweep_reads_patterns(quantity: str, grid) -> bool:
-    """Whether a sweep of ``quantity`` over the p values ``grid()`` reads u(x).
+    """Whether ``quantity`` at the p values ``grid()``, a sweep or one p, reads u(x).
 
     Every negativity does, and a rank does at a p in (0, 1).  A grid that
     does not parse reads nothing here: it is refused later, in its turn."""
@@ -209,21 +203,21 @@ def _value_of(quantity: str, args, g: Graph, points: int):
 def _cmd_value(args):
     """``overlap``, ``negativity`` or ``rank`` at one p.
 
-    Every negativity, a rank at 0 < p < 1 and a dumped matrix read u(x), so
-    their graph is held to the word limit before its edges are listed."""
-    words = args.command == "negativity" or (
-        args.command == "rank" and (0.0 < args.p < 1.0 or args.dump_matrix))
-    g = _graph_of(args, _words if words else None)
+    A query that reads u(x) at its p, or dumps the matrix, holds its graph
+    to the word limit before its edges are listed."""
+    dump = getattr(args, "dump_matrix", None)
+    words = _sweep_reads_patterns(args.command, lambda: [args.p]) or dump
+    g = parse_graph(args.graph, _words if words else None)
     p = _parse_p(args.p)
     value = _value_of(args.command, args, g, 1)
-    if getattr(args, "dump_matrix", None):
-        export_density(randomize(g, p), args.dump_matrix, p=p, graph_spec=args.graph)
+    if dump:
+        export_density(randomize(g, p), dump, p=p, graph_spec=args.graph)
     _emit_json({args.command: value(p)})
     return 0
 
 
 def _cmd_witness(args):
-    g = _graph_of(args)
+    g = parse_graph(args.graph)
     ev = gme_witness_value(g, _parse_p(args.p), _parse_level(args.level),
                            graph_spec=args.graph)
     _emit_json({
@@ -238,7 +232,7 @@ def _cmd_witness(args):
 
 
 def _cmd_threshold(args):
-    g = _graph_of(args)
+    g = parse_graph(args.graph)
     level = _parse_level(args.level)
     value = gme_threshold(g, level=level, tol=args.tol)
     key = "p_w" if level == "exact" else "p_F"
@@ -247,7 +241,7 @@ def _cmd_threshold(args):
 
 
 def _cmd_lhv_bound(args):
-    g = _graph_of(args, _value_tensor)
+    g = parse_graph(args.graph, _value_tensor)
     _emit_json({"D": lhv_bound(g)})
     return 0
 
@@ -255,7 +249,7 @@ def _cmd_lhv_bound(args):
 def _cmd_lhv_threshold(args):
     """Without ``--lhv-bound`` the bound is searched, so its 4^n value tensor
     is admitted before the edges are listed (and before ``--tol`` is read)."""
-    g = _graph_of(args, _value_tensor if args.lhv_bound is None else None)
+    g = parse_graph(args.graph, _value_tensor if args.lhv_bound is None else None)
     d = _lhv_bound_for(g, args.lhv_bound)
     value = lhv_threshold(g, level=_parse_level(args.level), d=d, tol=args.tol)
     _emit_json({"p_lhv": value, "D": d})
@@ -263,18 +257,18 @@ def _cmd_lhv_threshold(args):
 
 
 def _cmd_dim(args):
-    _emit_json({"dim": subgraph_space_dimension(_graph_of(args, _words))})
+    _emit_json({"dim": subgraph_space_dimension(parse_graph(args.graph, _words))})
     return 0
 
 
 def _cmd_cover(args):
-    g = _graph_of(args, lambda n, edges: _check_cover_vertices(n))
+    g = parse_graph(args.graph, lambda n, edges: _check_cover_vertices(n))
     _emit_json({"cover": min_vertex_cover(g)})
     return 0
 
 
 def _cmd_sample(args):
-    g = _graph_of(args, lambda n, edges: _check_width(edges))
+    g = parse_graph(args.graph, lambda n, edges: _check_width(edges))
     p = _parse_p(args.p)
     sample = sample_preparation(g, p, args.shots, args.seed,
                                 threads=_parse_threads(args.threads))
@@ -287,7 +281,7 @@ def _cmd_sample(args):
 def _cmd_sweep(args):
     grid = cache(partial(_parse_grid, args.p_grid))  # parsed at most once
     words = _sweep_reads_patterns(args.quantity, grid)
-    g = _graph_of(args, _words if words else None)
+    g = parse_graph(args.graph, _words if words else None)
     level = str(_parse_level(args.level))
     value = _value_of(args.quantity, args, g, len(grid()))
     points = [(p, value(p)) for p in grid()]

@@ -6,6 +6,9 @@ single numerical kernel is the symmetric eigendecomposition.  A mixture of
 subgraph projectors reads the excitation patterns u(x) through u(x) XOR u(y)
 alone: ``randomize`` is 2^-n q^popcount(u(x) XOR u(y)), q = 1 - 2p, and
 ``subgraph_mixture`` gathers from the Walsh-Hadamard transform of its weights.
+``randomized_bell`` is ``randomize`` of the one-edge graph.  All three are
+built by one gather, ``_pattern_gather``, which alone records the graph (and
+``randomize``'s q) on the matrix it makes.
 
 Such a matrix repeats rows: rho has one distinct row per pattern u(x), and
 many rows of its partial transpose repeat too.  The eigensolve therefore
@@ -15,12 +18,12 @@ representative row and column per class and P is the class indicator.  The
 nonzero spectrum of M is that of D^1/2 A D^1/2, with D the class sizes, and
 every eigenvalue dropped with the merged rows is exactly 0.  Rows are merged
 only when they are verified bit-equal, never by hash or tolerance alone.
-A pattern-built matrix keeps its graph (and ``randomize`` its q), so the
-merge starts from integer row keys: u(x) for rho; for its partial transpose
-on A, the patterns of the edges inside A and inside B and the bits on the
-ends of the crossing edges.  Rows with equal keys are equal, so only the
-K x K block of the K key classes is hashed and verified, where a matrix
-built by hand has all 2^n rows hashed.  ``negativity`` reads the rows of
+On a matrix with that record the merge starts from integer row keys: u(x)
+for rho; for its partial transpose on A, the patterns of the edges inside A
+and inside B and the bits on the ends of the crossing edges.  Rows with
+equal keys are equal, so only the K x K block of the K key classes is
+hashed and verified, where a matrix without the record has all 2^n rows
+hashed.  ``negativity`` reads the rows of
 the partial transpose from rho's entries in place, so only rho and A are
 held; ``partial_transpose`` builds the whole matrix, for callers that
 want it.
@@ -40,16 +43,15 @@ no matrix; the ``rank`` command prints it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import check_table
+from .errors import _check_p, _check_tol, check_table
 from .graph import Graph
 from .state import excitation_patterns, walsh_hadamard
-from .witness import _check_p, _check_tol
 
 RANK_TOL = 1e-10
 _ROW_BLOCK = 64  # rows gathered, hashed, verified or scaled per step: no full-size temporary
@@ -61,7 +63,7 @@ def _is_symmetric(e: np.ndarray) -> bool:
 
     Each _ROW_BLOCK-square tile is matched against its mirror tile, so both
     stay in cache where a whole-matrix ``e.T`` walks a column per row.  The
-    exact test settles every matrix built here without allclose's temporaries.
+    exact test settles a symmetric tile without allclose's temporaries.
     """
     dim, b = len(e), _ROW_BLOCK
     for i in range(0, dim, b):
@@ -77,26 +79,32 @@ def _is_symmetric(e: np.ndarray) -> bool:
 class DensityMatrix:
     """Dense real symmetric 2^n x 2^n operator with unit trace.
 
-    ``graph`` and ``q`` record how a pattern builder made the entries; a
-    matrix built by hand leaves them None.  ``graph`` is set when every entry
-    is a function of u(x) XOR u(y) over the edges of ``graph``
-    (``randomize``, ``subgraph_mixture``), and ``q`` = 1 - 2p when that
-    function is ``randomize``'s 2^-n q^popcount.  Such entries are
-    read-only, so the record holds for as long as the matrix does.  Its
-    entries depend on x and y through u(x) XOR u(y) alone, so such a matrix
-    is symmetric by construction and only a hand-built one is scanned.
+    ``graph`` and ``q`` record how ``_pattern_gather`` made the entries, and
+    only it can set them, through the init-only ``_record``: the public
+    constructor and ``dataclasses.replace`` give a matrix with no record
+    (both None), which is scanned for symmetry and merged by row hashes.
+    ``graph`` is set when every entry is a function of u(x) XOR u(y) over
+    the edges of ``graph`` (``randomize``, ``subgraph_mixture``), and ``q``
+    = 1 - 2p when that function is ``randomize``'s 2^-n q^popcount.  Such
+    entries are read-only, so the record holds for as long as the matrix
+    does, and are symmetric by construction, so they are not scanned.
     """
 
     n: int
     entries: np.ndarray
-    graph: Graph | None = None
-    q: float | None = None
+    graph: Graph | None = field(default=None, init=False)
+    q: float | None = field(default=None, init=False)
+    _: KW_ONLY
+    _record: InitVar[tuple[Graph, float | None] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _record):
         dim, e = 1 << self.n, self.entries
         if e.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix for n={self.n}")
-        if self.graph is None and not _is_symmetric(e):
+        if _record is not None:
+            object.__setattr__(self, "graph", _record[0])
+            object.__setattr__(self, "q", _record[1])
+        elif not _is_symmetric(e):
             raise ValueError("density matrix is not symmetric")
         if abs(float(np.trace(e)) - 1.0) > 1e-12:
             raise ValueError("density matrix trace differs from 1")
@@ -136,7 +144,7 @@ def _pattern_gather(g: Graph, table: np.ndarray, popcount: bool,
             np.bitwise_count(index, out=index)
         np.take(table, index, out=rho[a:a + rows], mode="clip")  # clip: no buffered copy
     rho.flags.writeable = False
-    return DensityMatrix(g.n, rho, g, q)
+    return DensityMatrix(g.n, rho, _record=(g, q))
 
 
 def subgraph_mixture(g: Graph, weights) -> DensityMatrix:
@@ -172,16 +180,8 @@ def randomize(g: Graph, p: float) -> DensityMatrix:
 
 
 def randomized_bell(p: float) -> DensityMatrix:
-    """Two-qubit randomized Bell state: explicit 4x4 matrix in 1 and 1-2p."""
-    _check_p(p)
-    q = 1.0 - 2.0 * p
-    m = np.array([
-        [1.0, 1.0, 1.0, q],
-        [1.0, 1.0, 1.0, q],
-        [1.0, 1.0, 1.0, q],
-        [q, q, q, 1.0],
-    ]) / 4.0
-    return DensityMatrix(2, m)
+    """Two-qubit randomized Bell state: ``randomize`` of the one-edge graph."""
+    return randomize(Graph(2, ((0, 1),)), p)
 
 
 def _check_cut(rho: DensityMatrix, cut: Bipartition):
@@ -262,19 +262,17 @@ def _merged_spectrum(m: np.ndarray, side_a: int = 0,
     M is ``m`` itself (``side_a`` = 0) or its partial transpose on the
     qubits of the bitmask ``side_a``, and it is never built: with B the
     other qubits, M[r, c] = flat[base[c] + off[r]] over the flat entries of
-    ``m``, base[c] = (c & A) 2^n + (c & B) and off[r] = (r & B) 2^n + (r & A).
-    Columns that differ only below the lowest qubit of A are adjacent in
-    ``m``, so whole rows are read as runs of ``step`` such entries.  The
-    merge starts from the classes of equal ``keys`` (see ``_row_keys``),
-    or from single rows when ``keys`` is None, and reads M only on the rows
-    and columns of their first rows R: two rows of M are bit-equal exactly
-    when they are on R, as M's columns repeat with its rows.  Of the K x K
-    block, read _ROW_BLOCK rows at a time, rows with equal hashes join the
-    class of the first such row, then each row is checked bit-equal to that
-    representative; a row that differs (a hash collision) stays its own
-    class.  A = M[R', R'] on the representatives R' left, D their class
-    sizes.  The result is the spectrum of M less the exact zeros of the
-    merged rows.
+    ``m``, base[c] = (c & A) 2^n + (c & B) and off[r] = (r & B) 2^n + (r & A),
+    one gather per block of rows.  The merge starts from the classes of
+    equal ``keys`` (see ``_row_keys``), or from single rows when ``keys`` is
+    None, and reads M only on the rows and columns of their first rows R:
+    two rows of M are bit-equal exactly when they are on R, as M's columns
+    repeat with its rows.  Of the K x K block, read _ROW_BLOCK rows at a
+    time, rows with equal hashes join the class of the first such row, then
+    each row is checked bit-equal to that representative; a row that differs
+    (a hash collision) stays its own class.  A = M[R', R'] on the
+    representatives R' left, D their class sizes.  The result is the
+    spectrum of M less the exact zeros of the merged rows.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
     dim, flat = len(m), m.ravel()
@@ -289,16 +287,9 @@ def _merged_spectrum(m: np.ndarray, side_a: int = 0,
         first, label = first[order], np.argsort(order)[label]
     k, bits_flat = len(first), flat.view(np.uint64)
     row_off, col_base = off[first], base[first]
-    if k < dim:
-        def bits(rows):  # M[first[rows], first] as uint64
-            return np.take(bits_flat, row_off[rows, None] + col_base)
-    else:  # whole rows, read as runs of the ``step`` adjacent columns
-        step = (side_a | dim) & -(side_a | dim)
-        runs, run_base = bits_flat.reshape(-1, step), base[::step] // step
 
-        def bits(rows):
-            return np.take(runs, row_off[rows, None] // step + run_base,
-                           axis=0).reshape(len(rows), dim)
+    def bits(rows):  # M[first[rows], first] as uint64
+        return np.take(bits_flat, row_off[rows, None] + col_base)
     classes = np.arange(k)
     hashes = np.concatenate([_row_hashes(bits(classes[a:a + _ROW_BLOCK]))
                              for a in range(0, k, _ROW_BLOCK)])
@@ -331,8 +322,10 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     ``_NEGATIVITY_SECONDS`` is the estimate the CLI charges per 8^n.
     """
     _check_cut(rho, cut)
-    # rho^T_B = (rho^T_A)^T, that is rho^T_A again for a symmetric rho; the
-    # side without qubit 0 is read, and both sides have the same row keys
+    # rho^T_B = (rho^T_A)^T, that is rho^T_A again for a symmetric rho, and
+    # both sides have the same row keys.  The side without qubit 0 is read for
+    # a cut and its complement alike: a hand-built rho symmetric only to within
+    # 1e-12 has two partial transposes that differ in their last bits
     side = cut.side_b if cut.side_a & 1 else cut.side_a
     evals = _merged_spectrum(rho.entries, side, _row_keys(rho, side))
     return float(np.abs(evals[evals < 0.0]).sum())
@@ -405,8 +398,9 @@ def export_density(rho: DensityMatrix, base_path, *, p: float, graph_spec: str):
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
-    lines = [",".join(f"{v:.12g}" for v in row) for row in rho.entries]
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("w") as out:  # one row at a time: no 4^n-entry text
+        for row in rho.entries:
+            out.write(",".join(f"{v:.12g}" for v in row) + "\n")
     json_path.write_text(json.dumps(
         {"n": rho.n, "p": p, "graph_spec": graph_spec}, separators=(",", ":")) + "\n")
     return csv_path, json_path

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the memory and time budgets.
+"""Exception types, the memory and time budgets, and the p and tolerance checks.
 
 Memory: every dense numpy table is checked by ``check_table`` against
 ``MAX_TABLE_BYTES`` before it is allocated.  Time: every computation whose
@@ -15,7 +15,7 @@ The other limits are not costs:
 - ``cli.MAX_SWEEP_POINTS`` bounds the p-grid input and the list of its points;
 - |E| <= 63 wherever u(x) or a sample mask is one int64 word; ``dim``,
   ``sample``, ``negativity`` and ``rank`` at 0 < p < 1 check it on a family
-  spec's edge count before the edges are listed (``cli._graph_of``);
+  spec's edge count before the edges are listed (``parse_graph``'s ``check_size``);
 - ``witness._check_range`` keeps the contraction's coefficients in the
   float64 range;
 - ``graph.MAX_COVER_VERTICES`` bounds the exact vertex cover, whose
@@ -25,6 +25,8 @@ The other limits are not costs:
   and the n <= 24 consumers (the subset walk, ``lhv``, the vertex cover)
   read them; the overlap contraction plans on neighbour sets and does not.
 """
+
+from math import isfinite
 
 # Bytes of one dense numpy table: a 4^12 float64 matrix, a 2^24 int64 vector.
 MAX_TABLE_BYTES = 2 ** 27
@@ -52,3 +54,13 @@ def check_time(what: str, seconds: float):
     if seconds > MAX_SECONDS:
         raise SizeLimitError(f"{what} is estimated at {seconds:.3g} s;"
                              f" the limit is {MAX_SECONDS:g} s")
+
+
+def _check_p(p: float):
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"randomness parameter must be in [0, 1], got {p}")
+
+
+def _check_tol(tol: float):
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")

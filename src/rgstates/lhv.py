@@ -38,11 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_table
+from .errors import _check_tol, check_table
 from .graph import Graph
 from .state import _subset_walk, graph_state_vector
-from .witness import (DEFAULT_THRESHOLD_TOL, WitnessEvaluation, _check_tol,
-                      _overlap_function, _witness_evaluation, find_threshold)
+from .witness import (DEFAULT_THRESHOLD_TOL, WitnessEvaluation, _overlap_function,
+                      _witness_evaluation, find_threshold)
 
 # row b: values of (I, X, Z, Y) under the b-th local sign choice with a_z = +1;
 # the a_z = -1 choices repeat these values (module docstring), so they are left out

@@ -39,11 +39,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MAX_TABLE_BYTES, SizeLimitError, check_table
+from .errors import MAX_TABLE_BYTES, SizeLimitError, _check_p, check_table
 from .graph import Graph
 from .density import DensityMatrix, subgraph_mixture
 from .state import _WORD_EDGES
-from .witness import _check_p
 
 MAX_SAMPLE_PATTERNS = MAX_TABLE_BYTES // 8  # sample entries: masks and tallies are a table each
 _SPLIT_SHOTS = 64  # a prefix of more shots, or of more than 2^(edges left), draws binomials

@@ -60,11 +60,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isfinite, perm, sqrt
+from math import comb, factorial, perm, sqrt
 
 import numpy as np
 
-from .errors import MAX_SECONDS, MAX_TABLE_BYTES, SizeLimitError, check_table, check_time
+from .errors import (MAX_SECONDS, MAX_TABLE_BYTES, SizeLimitError, _check_p, _check_tol,
+                     check_table, check_time)
 from .graph import Graph, cluster_counts, serialize_graph
 from .state import excitation_patterns, walsh_hadamard
 
@@ -368,11 +369,6 @@ def _contraction_coefficients(g: Graph, level: int) -> tuple[float, ...]:
     return (1.0, *poly.tolist())
 
 
-def _check_p(p: float):
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"randomness parameter must be in [0, 1], got {p}")
-
-
 def _overlap_function(g: Graph, level):
     """p -> overlap at ``level`` ('exact' or an int clamped to |E|); one lookup per query."""
     edges = g.edge_count
@@ -455,17 +451,18 @@ def gme_witness_value(g: Graph, p: float, level="exact",
     return _witness_evaluation(g, p, level, GME_CONSTANT, graph_spec)
 
 
-def _check_tol(tol: float):
-    if not (isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-
-
 def find_threshold(f, bracket=DEFAULT_BRACKET, tol: float = DEFAULT_THRESHOLD_TOL):
     """Bisection root of f(p) = 0 on ``bracket``; None without a sign change.
 
-    The approximated overlap is only guaranteed monotone for p >= 1/2, hence
-    the default bracket [1/2, 1].  Bisection stops at a bracket of width
-    ``tol`` or when lo and hi are adjacent floats, whichever comes first.
+    On the default bracket [1/2, 1] the exact overlap is nondecreasing.
+    rho_xy = 2^-n (1 - 2p)^popcount(u(x) XOR u(y)), |G> has the signs
+    (-1)^popcount(u(x)), and the signs of x and y multiply to
+    (-1)^popcount(u(x) XOR u(y)), so F(p) = <G|rho|G> = 4^-n sum_{x,y}
+    (2p - 1)^popcount(u(x) XOR u(y)): each term, a power of 2p - 1 in
+    [0, 1], grows with p.  For a truncation this is an observation, not a
+    proof: no decrease was found at any level of 144 graphs (n <= 12) at
+    2001 points.  Bisection stops at a bracket of width ``tol`` or when lo
+    and hi are adjacent floats, whichever comes first.
     """
     _check_tol(tol)
     lo, hi = bracket

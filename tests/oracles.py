@@ -45,6 +45,12 @@ def brute_excitation_patterns(g):
             for x in range(1 << g.n)]
 
 
+def brute_pair_overlap(g, p):
+    """4^-n sum over all pairs (x, y) of (2p - 1)^popcount(u(x) XOR u(y)), one pair at a time."""
+    u = brute_excitation_patterns(g)
+    return sum((2 * p - 1) ** (a ^ b).bit_count() for a in u for b in u) / 4 ** g.n
+
+
 def subgraph_from_mask(g, bits):
     """Spanning subgraph of ``g`` keeping the edges whose bits are set in ``bits``."""
     if not 0 <= bits < (1 << g.edge_count):

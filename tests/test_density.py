@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -113,15 +114,18 @@ def test_complete_graph_negativity_endpoints(n):
         assert negativity(zero, cut) == pytest.approx(0.0, abs=1e-12), side_a
 
 
-@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.7, 1.0])
 def test_randomized_bell_matches_randomize(p):
+    # the explicit 4x4 matrix in 1 and q is the reference, bit for bit
     q = 1 - 2 * p
     expected = np.array([
         [1, 1, 1, q], [1, 1, 1, q], [1, 1, 1, q], [q, q, q, 1],
     ]) / 4
-    assert np.allclose(randomized_bell(p).entries, expected, atol=1e-14)
-    assert np.allclose(randomized_bell(p).entries, randomize(EDGE, p).entries,
-                       atol=1e-14)
+    bell = randomized_bell(p)
+    assert np.array_equal(bell.entries, expected)
+    assert (bell.graph, bell.q) == (EDGE, q)
+    with pytest.raises(ValueError):
+        randomized_bell(1.5)
 
 
 @settings(deadline=None, max_examples=30)
@@ -550,6 +554,27 @@ def test_pattern_built_matrices_keep_their_record():
     assert (by_hand.graph, by_hand.q) == (None, None)
     assert density._row_keys(by_hand) is None
     by_hand.entries[0, 0] = by_hand.entries[0, 0]
+
+
+def test_only_the_pattern_gather_records_a_graph():
+    # a record copied onto other entries would certify a wrong rank: eye/8 has
+    # rank 8 and the all-1/8 matrix rank 1, where path:3's record gives 4
+    g = generate("path:3")
+    rho = randomize(g, 0.7)
+    for entries, rank in ((np.eye(8) / 8, 8), (np.full((8, 8), 1 / 8), 1)):
+        other = dataclasses.replace(rho, entries=entries)
+        assert (other.graph, other.q) == (None, None)
+        assert density._row_keys(other) is None
+        assert numerical_rank(other) == rank
+    for record in ({"graph": g}, {"q": 0.5}):
+        with pytest.raises(TypeError):
+            DensityMatrix(g.n, rho.entries.copy(), **record)
+        with pytest.raises(ValueError):
+            dataclasses.replace(rho, **record)
+    with pytest.raises(TypeError):
+        DensityMatrix(g.n, rho.entries.copy(), g)
+    with pytest.raises(ValueError, match="not symmetric"):  # scanned like any hand-built one
+        dataclasses.replace(rho, entries=np.triu(np.ones((8, 8))) / 8)
 
 
 def _keyed_and_dense_cases(rng):

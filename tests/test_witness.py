@@ -16,7 +16,7 @@ from rgstates.witness import (MAX_CLUSTER_LEVEL, _CLUSTER_WEIGHTS, _WEIGHT_DENOM
                               _contraction_plan, _level_coefficients, _spectrum_coefficients)
 from conftest import graphs
 from oracles import (CLUSTER_TYPE_EDGES, bitmask_contraction_plan, brute_level_coefficients,
-                     brute_randomization_overlap, random_graph)
+                     brute_pair_overlap, brute_randomization_overlap, random_graph)
 
 P_GRID = [k / 10 for k in range(11)]
 
@@ -390,12 +390,26 @@ def test_2level_truncates_small_graphs():
 
 
 def test_2level_monotone_for_low_levels():
-    # truncations with level <= |E|/2 are nondecreasing on [1/2, 1]
-    for spec in ("path:5", "cycle:6", "star:5", "grid:2x3"):
-        g = generate(spec)
-        for level in range(g.edge_count // 2 + 1):
+    # truncations at every level are nondecreasing on [1/2, 1]: observed, and
+    # proved only for the exact overlap (see find_threshold)
+    rng = np.random.default_rng(397)
+    cases = [generate(spec) for spec in ("path:5", "cycle:6", "star:5", "grid:2x3")]
+    cases += [random_graph(rng, 8) for _ in range(20)]
+    for g in cases:
+        for level in range(g.edge_count + 1):
             values = [approx_overlap(g, 0.5 + k / 40, level) for k in range(21)]
-            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), (g, level)
+
+
+def test_exact_overlap_is_a_sum_of_powers_of_2p_minus_1():
+    # F(p) = 4^-n sum_{x,y} (2p - 1)^popcount(u(x) XOR u(y)), the identity
+    # behind the monotonicity of the exact overlap on [1/2, 1]
+    rng = np.random.default_rng(401)
+    for _ in range(12):
+        g = random_graph(rng, 8)
+        for p in (0.0, 0.3, 0.5, 0.75, float(rng.uniform()), 1.0):
+            assert randomization_overlap(g, p) == pytest.approx(
+                brute_pair_overlap(g, p), rel=1e-12, abs=1e-15), (g, p)
 
 
 def test_find_threshold_star_closed_form():
