@@ -14,13 +14,13 @@ import json
 import os
 import sys
 from functools import cache, partial
-from math import inf, isfinite
+from math import isfinite
 from pathlib import Path
 
 from .errors import GraphSpecError, SizeLimitError, check_time
 from .graph import Graph, min_vertex_cover, parse_graph, _check_cover_vertices
 from .density import (Bipartition, export_density, negativity, randomize,
-                      subgraph_space_dimension, _NEGATIVITY_SECONDS)
+                      subgraph_space_dimension, _negativity_seconds)
 from .witness import (DEFAULT_THRESHOLD_TOL, GME_CONSTANT, gme_threshold,
                       gme_witness_value, _overlap_function)
 from .lhv import lhv_bound, lhv_threshold, _check_value_tensor
@@ -162,13 +162,13 @@ def _lhv_bound_for(g: Graph, supplied) -> float:
 def _value_of(quantity: str, args, g: Graph, points: int):
     """Parse and admit the inputs of ``quantity`` once; return its p -> value.
 
-    ``points`` is the number of p values the function will be called at; a
-    negativity is refused up front when its estimate, points x 8^n x
-    ``density._NEGATIVITY_SECONDS`` (one dense eigensolve of a 2^n x 2^n
-    matrix per point), is over the time budget of ``errors.check_time``; an
-    estimate past the float range (n >= 342 at one point) is ``inf``.  A
-    witness value is its constant minus the overlap at the level: 1/2 for
-    ``gme_witness``, D(G) for ``lhv_witness``.
+    ``points`` is the number of p values the function will be called at.  A
+    negativity is refused up front, before any matrix is built, when points
+    x ``density._negativity_seconds`` (the 4^n gather plus K^3 for the solve
+    on K row classes; n >= 13 is refused there by the table budget) is over
+    the time budget of ``errors.check_time``.  A witness value is its
+    constant minus the overlap at the level: 1/2 for ``gme_witness``, D(G)
+    for ``lhv_witness``.
 
     ``rank`` is exact: 1 at p in {0, 1}, else the pattern count.  rho =
     2^-n P^T K_U P, with P sending x to its pattern u(x) and K_U the block of
@@ -180,11 +180,8 @@ def _value_of(quantity: str, args, g: Graph, points: int):
         if args.bipartition is None:
             raise ValueError("sweep of negativity needs --bipartition")
         cut = _parse_bipartition(args.bipartition, g.n)
-        try:
-            seconds = points * 8 ** g.n * _NEGATIVITY_SECONDS
-        except OverflowError:  # the int is past the float range
-            seconds = inf
-        check_time(f"negativity sweep of {points} points at n={g.n}", seconds)
+        check_time(f"negativity sweep of {points} points at n={g.n}",
+                   points * _negativity_seconds(g, cut))
         return lambda p: negativity(randomize(g, p), cut)
     if quantity == "rank":
         dimension = cache(partial(subgraph_space_dimension, g))

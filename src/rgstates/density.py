@@ -26,7 +26,9 @@ hashed and verified, where a matrix without the record has all 2^n rows
 hashed.  ``negativity`` reads the rows of
 the partial transpose from rho's entries in place, so only rho and A are
 held; ``partial_transpose`` builds the whole matrix, for callers that
-want it.
+want it.  The keys depend on the graph and the cut alone, so
+``_negativity_seconds`` counts K, and charges a negativity by it, before
+any matrix is built.
 
 ``numerical_rank`` counts eigenvalues above a relative cutoff.  For
 ``randomize`` it first tries a certificate: every eigenvalue of A is at
@@ -55,7 +57,8 @@ from .state import excitation_patterns, walsh_hadamard
 
 RANK_TOL = 1e-10
 _ROW_BLOCK = 64  # rows gathered, hashed, verified or scaled per step: no full-size temporary
-_NEGATIVITY_SECONDS = 0.2e-9  # fitted seconds of one negativity per 8^n; see negativity
+# Fitted seconds (see _negativity_seconds): randomize per 4^n entry, negativity per K^3.
+_GATHER_SECONDS, _SOLVE_SECONDS = 10e-9, 0.2e-9
 
 
 def _is_symmetric(e: np.ndarray) -> bool:
@@ -75,9 +78,12 @@ def _is_symmetric(e: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Dense real symmetric 2^n x 2^n operator with unit trace.
+
+    Equality is identity and the hash is the object's: a generated ``==``
+    would compare the entries as an array, which has no truth value.
 
     ``graph`` and ``q`` record how ``_pattern_gather`` made the entries, and
     only it can set them, through the init-only ``_record``: the public
@@ -228,20 +234,28 @@ def _row_hashes(bits: np.ndarray) -> np.ndarray:
     return (bits ^ (bits >> np.uint64(32))) @ _hash_weights(bits.shape[1])
 
 
-def _row_keys(rho: DensityMatrix, side_a: int = 0) -> np.ndarray | None:
-    """Integer keys of the rows of rho, or of its partial transpose on ``side_a``.
+def _distinct_count(v: np.ndarray) -> int:
+    """Number of distinct values of ``v``, which is sorted in place.
+
+    Counted as the value changes of the sorted values: a plain ``np.unique``
+    would import ``numpy.ma``, about 14 ms per process."""
+    v.sort()
+    return 1 + int(np.count_nonzero(v[1:] != v[:-1]))
+
+
+def _row_keys(g: Graph, side_a: int = 0) -> np.ndarray:
+    """Integer row keys of a rho built from the patterns of ``g``, or of its
+    partial transpose on ``side_a``.
 
     Rows with equal keys are bit-equal, and so are the columns.  Row x of a
     pattern-built rho is fixed by u(x).  Row r of its partial transpose on A
     reads rho at s = (c & A) | (r & B) and t = (r & A) | (c & B), and
     u(s) XOR u(t) takes from r only the patterns of the edges inside A and
     inside B and the bits of r on the ends of the crossing edges.  Those
-    inside patterns are renumbered below 2^n, so the key fits one int64.  A
-    matrix built by hand has no keys (None).
+    inside patterns are renumbered below 2^n, each by its first place in
+    sorted order, so the key fits one int64.  The keys are the same for A
+    and its complement.
     """
-    g = rho.graph
-    if g is None:
-        return None
     u = excitation_patterns(g)
     if not side_a:
         return u
@@ -251,7 +265,8 @@ def _row_keys(rho: DensityMatrix, side_a: int = 0) -> np.ndarray | None:
             ends |= 1 << a | 1 << b
         else:
             inside |= 1 << k
-    _, label = np.unique(u & inside, return_inverse=True)
+    inside_u = u & inside
+    label = np.searchsorted(np.sort(inside_u), inside_u)
     return label << g.n | np.arange(1 << g.n) & ends
 
 
@@ -313,13 +328,17 @@ def _merged_spectrum(m: np.ndarray, side_a: int = 0,
     return np.linalg.eigvalsh(a_mat)
 
 
+def _keys_of(rho: DensityMatrix, side_a: int = 0) -> np.ndarray | None:
+    """``_row_keys`` of a pattern-built rho; None for a matrix built by hand."""
+    return None if rho.graph is None else _row_keys(rho.graph, side_a)
+
+
 def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     """Sum of |negative eigenvalues| of the partial transpose.
 
-    With ``randomize`` before it, one value at n = 10-12 took up to 0.17 ns
-    per 8^n on cuts whose rows do not merge (8-10 s for grid:3x4 at n = 12,
-    one BLAS thread) and less on cuts whose rows do;
-    ``_NEGATIVITY_SECONDS`` is the estimate the CLI charges per 8^n.
+    For ``randomize`` the eigensolve is of the K x K block of the K row-key
+    classes of the cut; ``_negativity_seconds`` estimates the cost of a
+    value from K before any matrix is built.
     """
     _check_cut(rho, cut)
     # rho^T_B = (rho^T_A)^T, that is rho^T_A again for a symmetric rho, and
@@ -327,8 +346,28 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     # a cut and its complement alike: a hand-built rho symmetric only to within
     # 1e-12 has two partial transposes that differ in their last bits
     side = cut.side_b if cut.side_a & 1 else cut.side_a
-    evals = _merged_spectrum(rho.entries, side, _row_keys(rho, side))
+    evals = _merged_spectrum(rho.entries, side, _keys_of(rho, side))
     return float(np.abs(evals[evals < 0.0]).sum())
+
+
+def _negativity_seconds(g: Graph, cut: Bipartition) -> float:
+    """Estimated seconds of ``negativity(randomize(g, p), cut)`` at one p.
+
+    The density-matrix table is checked first, so n >= 13 is refused at
+    once and the estimate stays in the float range.  K, the number of row-key
+    classes ``_merged_spectrum`` starts from, is counted from the keys of
+    ``g`` and the cut (one 2^n table) with no matrix built, and the K x K
+    block is checked against the table budget.  ``randomize`` is charged
+    ``_GATHER_SECONDS`` per 4^n entry and the solve ``_SOLVE_SECONDS`` per
+    K^3.  With one BLAS thread, each in a fresh process, on eight cuts at
+    n = 10-12 with K = 256-4096, ``randomize`` took 3.3-8.2 ns per entry and
+    ``negativity`` 0.10-0.17 ns per K^3 (0.31-0.35 at K = 256, where the
+    gather dominates): 0.46-0.83 of the estimate (fit table in CHANGES.md).
+    """
+    check_table(f"density matrix of n={g.n}", 1 << 2 * g.n, 8)
+    k = _distinct_count(_row_keys(g, cut.side_a))
+    check_table(f"negativity block of K={k}", k * k, 8)
+    return 4 ** g.n * _GATHER_SECONDS + k ** 3 * _SOLVE_SECONDS
 
 
 def _eigen_margin(k: int) -> float:
@@ -375,7 +414,7 @@ def numerical_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
         delta = _eigen_margin(k)
         if floor - delta > tol * (1.0 + delta):
             return k
-    evals = _merged_spectrum(rho.entries, keys=_row_keys(rho))
+    evals = _merged_spectrum(rho.entries, keys=_keys_of(rho))
     return int(np.count_nonzero(evals > tol * float(evals[-1])))
 
 
@@ -385,12 +424,9 @@ def subgraph_space_dimension(g: Graph) -> int:
     The subgraph states span exactly the functions of u(x): rows of the
     2^n x 2^|E| sign matrix (-1)^popcount(m & u(x)) are equal for equal u(x)
     and independent Hadamard rows otherwise.  So the dimension is the exact
-    number of distinct excitation patterns, counted as the value changes of
-    the sorted patterns (a plain ``np.unique`` would import ``numpy.ma``).
+    number of distinct excitation patterns.
     """
-    u = excitation_patterns(g)
-    u.sort()
-    return 1 + int(np.count_nonzero(u[1:] != u[:-1]))
+    return _distinct_count(excitation_patterns(g))
 
 
 def export_density(rho: DensityMatrix, base_path, *, p: float, graph_spec: str):
@@ -398,9 +434,10 @@ def export_density(rho: DensityMatrix, base_path, *, p: float, graph_spec: str):
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
+    line = ",".join(["%.12g"] * (1 << rho.n)) + "\n"
     with csv_path.open("w") as out:  # one row at a time: no 4^n-entry text
         for row in rho.entries:
-            out.write(",".join(f"{v:.12g}" for v in row) + "\n")
+            out.write(line % tuple(row.tolist()))  # Python floats: no numpy scalars
     json_path.write_text(json.dumps(
         {"n": rho.n, "p": p, "graph_spec": graph_spec}, separators=(",", ":")) + "\n")
     return csv_path, json_path

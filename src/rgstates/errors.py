@@ -7,8 +7,10 @@ its work count times a per-unit cost fitted beside the kernel it models, and
 ``check_time`` refuses it over ``MAX_SECONDS``.  Three paths have such an
 estimate: the overlap contraction (``witness._admitted_plan``), the
 level-3/4 cluster counts (``witness._cluster_coefficients``) and a
-negativity sweep (``cli._value_of``), whose estimate is ``inf`` past the
-float range.
+negativity (``density._negativity_seconds``: the 4^n gather of rho plus K^3
+for the solve on K row classes), which ``cli._value_of`` charges once per
+point of a sweep.  That estimate checks the density-matrix table first, so
+it is refused at n >= 13 and stays in the float range.
 
 The other limits are not costs:
 
@@ -42,10 +44,24 @@ class SizeLimitError(ValueError):
     """Requested computation exceeds a hard size budget."""
 
 
+def _decimal(v: int) -> str:
+    """``v`` in decimal, or as a power of two past the int-to-str digit limit.
+
+    Python refuses ``str`` of an int over 4300 digits by default.  The tables
+    that large (4^n entries at n of some thousands) hold a power of two of
+    entries, so their sizes print exactly."""
+    try:
+        return str(v)
+    except ValueError:
+        k = v.bit_length() - 1
+        return f"2^{k}" if v == 1 << k else f"over 2^{k}"
+
+
 def check_table(what: str, entries: int, itemsize: int):
     """Refuse a table of ``entries`` items of ``itemsize`` bytes over ``MAX_TABLE_BYTES``."""
-    if entries * itemsize > MAX_TABLE_BYTES:
-        raise SizeLimitError(f"{what} needs {entries} x {itemsize} = {entries * itemsize}"
+    needed = entries * itemsize
+    if needed > MAX_TABLE_BYTES:
+        raise SizeLimitError(f"{what} needs {_decimal(entries)} x {itemsize} = {_decimal(needed)}"
                              f" bytes; the limit is {MAX_TABLE_BYTES} bytes per table")
 
 

@@ -24,9 +24,11 @@ from .graph import Graph, generate, symmetric_difference
 _WORD_EDGES = 63  # u(x) is one nonnegative int64 word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphStateVector:
-    """Sign pattern of a graph state over the 2^n computational basis strings."""
+    """Sign pattern of a graph state over the 2^n computational basis strings.
+
+    Equality is identity and the hash is the object's, as for ``DensityMatrix``."""
 
     n: int
     signs: np.ndarray  # int8, entries in {+1, -1}, signs[0] == +1

@@ -701,41 +701,55 @@ def test_sweep_refuses_too_many_points(capsys, monkeypatch):
                "--p-grid", "0:1:1e-6")[0] == 1
 
 
-GRID34_HALVES = "0,1,2,3,4,5|6,7,8,9,10,11"
+PATH12_HALVES = "0,1,2,3,4,5|6,7,8,9,10,11"
+GRID34_CHECKERBOARD = "1,3,4,6,9,11|0,2,5,7,8,10"
 
 
 def test_negativity_sweep_refused_by_work_estimate(capsys, monkeypatch):
+    # the checkerboard cut of grid:3x4 has K = 4096 row classes at every p:
+    # 13.9 s a point, so three points are refused before any matrix is built
     def unreachable(*args):
         raise AssertionError("a density matrix was built")
     monkeypatch.setattr(cli, "randomize", unreachable)
     sweep = ("sweep", "--quantity", "negativity", "--graph", "grid:3x4",
-             "--bipartition", GRID34_HALVES, "--p-grid")
+             "--bipartition", GRID34_CHECKERBOARD, "--p-grid")
     assert run(capsys, *sweep, "0:1:1e-6")[:2] == (1, "")  # the point cap
-    code, out, err = run(capsys, *sweep, "0:1:1")
+    code, out, err = run(capsys, *sweep, "0:1:0.5")
     assert (code, out) == (1, "")
-    assert err == ("error: negativity sweep of 2 points at n=12 is estimated at 27.5 s;"
+    assert err == ("error: negativity sweep of 3 points at n=12 is estimated at 41.7 s;"
                    " the limit is 20 s\n")
-    # one point at n = 12 is estimated at 13.7 s, inside the limit: admitted
+    # one point is estimated at 13.9 s, inside the limit: admitted
     monkeypatch.setattr(cli, "randomize", lambda g, p: None)
     monkeypatch.setattr(cli, "negativity", lambda rho, cut: 0.5)
     code, out, _ = run(capsys, *sweep, "0.5:0.5:0.1")
     assert code == 0 and out == "p,value\n0.5,0.5\n"
 
 
-def test_negativity_estimate_past_the_float_range(capsys):
-    cut = ("--bipartition", "0|" + ",".join(map(str, range(1, 400))))
-    for argv in (("negativity", "--graph", "empty:400", "--p", "0.5", *cut),
-                 ("sweep", "--graph", "empty:400", "--quantity", "negativity",
-                  "--p-grid", "0:1:0.5", *cut)):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        points = 1 if argv[0] == "negativity" else 3
-        assert err == (f"error: negativity sweep of {points} points at n=400 is estimated"
-                       " at inf s; the limit is 20 s\n")
-    assert run(capsys, "negativity", "--graph", "empty:20", "--p", "0.5", "--bipartition",
-               "0|" + ",".join(map(str, range(1, 20)))) == (
-        1, "", "error: negativity sweep of 1 points at n=20 is estimated at 2.31e+08 s;"
-               " the limit is 20 s\n")
+def test_negativity_sweep_of_few_row_classes_admitted(capsys):
+    # path:12's half cut has K = 784 row classes: 0.26 s estimated a point
+    cut = ("--graph", "path:12", "--bipartition", PATH12_HALVES)
+    code, out, err = run(capsys, "sweep", "--quantity", "negativity", *cut,
+                         "--p-grid", "0.3:0.31:0.01")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [p for p, _ in rows] == ["0.3", "0.31"]
+    for p, value in rows:
+        code, single, _ = run(capsys, "negativity", *cut, "--p", p)
+        assert code == 0 and json.loads(single)["negativity"] == float(value)
+
+
+def test_negativity_past_the_density_table_refused_before_its_estimate(capsys):
+    # n >= 13 is refused by the 4^n table check, an exact int for any n, so
+    # no estimate leaves the float range; past 4300 digits it prints as 2^k
+    for n, entries, needed in ((400, str(1 << 800), str(8 << 800)), (20, "1099511627776",
+                               "8796093022208"), (10000, "2^20000", "2^20003")):
+        cut = ("--bipartition", "0|" + ",".join(map(str, range(1, n))))
+        for argv in (("negativity", "--graph", f"empty:{n}", "--p", "0.5", *cut),
+                     ("sweep", "--graph", f"empty:{n}", "--quantity", "negativity",
+                      "--p-grid", "0:1:0.5", *cut)):
+            assert run(capsys, *argv) == (
+                1, "", f"error: density matrix of n={n} needs {entries} x 8 = {needed}"
+                       " bytes; the limit is 134217728 bytes per table\n")
 
 
 def test_grid_includes_endpoints(capsys):

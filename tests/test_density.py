@@ -374,6 +374,59 @@ def test_export_density(tmp_path):
     assert header == {"n": 2, "p": 0.5, "graph_spec": "bell"}
 
 
+def test_export_density_matches_per_entry_formatting(tmp_path):
+    # the rows are formatted from Python floats; each field must read as the
+    # f-string of its numpy scalar did: signed zeros, subnormals, 1e22, inf
+    m = np.diag([0.25] * 4)
+    m[np.triu_indices(4, 1)] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e22, np.inf]
+    m[np.tril_indices(4, -1)] = m.T[np.tril_indices(4, -1)]
+    matrices = [DensityMatrix(2, m)] + [randomize(generate(spec), p) for spec, p in
+                                        (("complete:4", 0.3), ("path:5", 0.1), ("cycle:3", 0.75))]
+    for i, rho in enumerate(matrices):
+        csv_path, _ = export_density(rho, tmp_path / f"m{i}", p=0.5, graph_spec="x")
+        expected = "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in rho.entries)
+        assert csv_path.read_text() == expected
+
+
+def test_density_matrices_and_state_vectors_compare_by_identity():
+    g = generate("path:4")
+    for make in (lambda: randomize(g, 0.3), lambda: graph_state_vector(g)):
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        table = {a: 1, b: 2}
+        assert (table[a], table[b], len(table)) == (1, 2, 2)
+
+
+def test_negativity_estimate_counts_the_classes_the_solve_starts_from(monkeypatch):
+    # K, read from the estimate's K x K table check, is the number of key
+    # classes that the merge of the partial transpose starts from
+    counted, started = [], []
+    check_table, merged_spectrum = density.check_table, density._merged_spectrum
+
+    def count(what, entries, itemsize):
+        if what.startswith("negativity block of K="):
+            counted.append(int(what.rsplit("=", 1)[1]))
+            assert entries == counted[-1] ** 2
+        check_table(what, entries, itemsize)
+
+    def start(m, side_a=0, keys=None):
+        started.append(len(np.unique(keys)))
+        return merged_spectrum(m, side_a, keys)
+    monkeypatch.setattr(density, "check_table", count)
+    monkeypatch.setattr(density, "_merged_spectrum", start)
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        g = random_graph(rng, 9, min_n=2)
+        cut = Bipartition(g.n, int(rng.integers(1, (1 << g.n) - 1)))
+        density._negativity_seconds(g, cut)
+        negativity(randomize(g, float(rng.uniform(0.05, 0.95))), cut)
+        assert counted[-1] == started[-1], (g, cut)
+    assert len(counted) == len(started) == 30
+    assert len(set(counted)) > 10
+
+
 def _assert_spectra_match_oracle(rho, cuts):
     """negativity and numerical_rank against full eigensolves."""
     evals = full_spectrum(rho.entries)
@@ -446,7 +499,7 @@ def test_merged_spectrum_verifies_hash_collisions(monkeypatch):
         _assert_spectra_match_oracle(rho, cuts)  # merged from the row keys
         _assert_spectra_match_oracle(DensityMatrix(g.n, rho.entries.copy()), cuts)
     rho = randomize(generate("path:3"), 0.0)  # every row equal: one 1x1 solve
-    for keys in (None, density._row_keys(rho)):
+    for keys in (None, density._keys_of(rho)):
         evals = density._merged_spectrum(rho.entries, keys=keys)
         assert len(evals) < 8 and evals.tolist() == [1.0]
 
@@ -552,7 +605,7 @@ def test_pattern_built_matrices_keep_their_record():
             m.entries[0, 0] = 0.0
     by_hand = DensityMatrix(g.n, rho.entries.copy())
     assert (by_hand.graph, by_hand.q) == (None, None)
-    assert density._row_keys(by_hand) is None
+    assert density._keys_of(by_hand) is None
     by_hand.entries[0, 0] = by_hand.entries[0, 0]
 
 
@@ -564,7 +617,7 @@ def test_only_the_pattern_gather_records_a_graph():
     for entries, rank in ((np.eye(8) / 8, 8), (np.full((8, 8), 1 / 8), 1)):
         other = dataclasses.replace(rho, entries=entries)
         assert (other.graph, other.q) == (None, None)
-        assert density._row_keys(other) is None
+        assert density._keys_of(other) is None
         assert numerical_rank(other) == rank
     for record in ({"graph": g}, {"q": 0.5}):
         with pytest.raises(TypeError):
@@ -595,7 +648,7 @@ def test_keyed_merge_equals_the_dense_merge():
     for rho, cut in _keyed_and_dense_cases(rng):
         full = (1 << rho.n) - 1
         for side in (0, cut, full ^ cut):
-            keyed = density._merged_spectrum(rho.entries, side, density._row_keys(rho, side))
+            keyed = density._merged_spectrum(rho.entries, side, density._keys_of(rho, side))
             assert np.array_equal(keyed, density._merged_spectrum(rho.entries, side))
 
 
@@ -605,6 +658,6 @@ def test_every_key_class_holds_bit_equal_rows():
         for side in (0, cut):
             m = rho.entries if not side else partial_transpose(rho, Bipartition(rho.n, side))
             bits = m.view(np.uint64)
-            keys = density._row_keys(rho, side)
+            keys = density._keys_of(rho, side)
             _, first, label = np.unique(keys, return_index=True, return_inverse=True)
             assert np.array_equal(bits, bits[first[label]]), (rho.graph, side)

@@ -5,8 +5,9 @@ from math import comb
 import pytest
 
 from rgstates import (Graph, SizeLimitError, approx_overlap, bell_operator_matrix, cli,
-                      density, generate, graph_state_vector, lhv_bound, randomization_overlap,
-                      randomize, subgraph_mixture, subgraph_space_dimension, witness)
+                      density, errors, generate, graph_state_vector, lhv_bound,
+                      randomization_overlap, randomize, subgraph_mixture,
+                      subgraph_space_dimension, witness)
 from rgstates.errors import MAX_SECONDS, MAX_TABLE_BYTES
 from rgstates.sampler import MAX_SAMPLE_PATTERNS
 from rgstates.state import excitation_patterns
@@ -51,6 +52,14 @@ def test_each_table_is_refused_one_step_past_the_budget(what, call, below):
     assert below <= MAX_TABLE_BYTES < needed
 
 
+def test_table_sizes_past_the_digit_limit_print_as_powers_of_two():
+    with pytest.raises(SizeLimitError, match=r"^density matrix of n=10000 needs 2\^20000 x 8"
+                                             r" = 2\^20003 bytes;"):
+        randomize(generate("empty:10000"), 0.5)
+    assert errors._decimal(3 << 20000) == "over 2^20001"
+    assert errors._decimal(10 ** 4000) == str(10 ** 4000)
+
+
 def test_derived_limits_read_the_budget():
     assert MAX_TABLE_BYTES == 2 ** 27
     assert MAX_SAMPLE_PATTERNS == MAX_TABLE_BYTES // 8 == 2 ** 24
@@ -58,7 +67,7 @@ def test_derived_limits_read_the_budget():
 
 
 TIME_MESSAGE = re.compile(rf"(.+) is estimated at (\S+) s; the limit is {MAX_SECONDS:g} s")
-HALVES = Namespace(bipartition="0,1,2,3,4,5|6,7,8,9,10,11")
+CHECKERBOARD = Namespace(bipartition="1,3,4,6,9,11|0,2,5,7,8,10")
 
 # (what is refused, the refused call, the estimate of the same path one step
 # smaller, computed without running it)
@@ -70,8 +79,9 @@ REFUSED_PAST_THE_TIME_BUDGET = [
      lambda: approx_overlap(generate("star:20000"), 0.9, 4),
      lambda: witness._count_seconds(generate("star:11000"), 4)),
     ("negativity sweep of 2 points at n=12",
-     lambda: cli._value_of("negativity", HALVES, generate("grid:3x4"), 2),
-     lambda: 8 ** 12 * density._NEGATIVITY_SECONDS),
+     lambda: cli._value_of("negativity", CHECKERBOARD, generate("grid:3x4"), 2),
+     lambda: density._negativity_seconds(generate("grid:3x4"),
+                                         cli._parse_bipartition(CHECKERBOARD.bipartition, 12))),
 ]
 
 
